@@ -6,8 +6,7 @@ pipeline: coverage classification feeding the incremental ROB/MLP
 model) at a short and a long trace length, each in a fresh subprocess,
 and compares peak RSS. Under streaming execution the long run must stay
 within ``--ratio`` of the short one — peak memory independent of trace
-length — while a materialized run grows linearly (try
-``--materialize`` to see the difference).
+length.
 
 Used by CI; also runnable by hand::
 
@@ -33,8 +32,7 @@ from repro.experiments.config import ExperimentConfig
 
 cfg = ExperimentConfig()
 cfg.trace_length = {length}
-result = execute_job(cfg.timing_job({workload!r}, "stride"),
-                     materialize={materialize})
+result = execute_job(cfg.timing_job({workload!r}, "stride"))
 print(json.dumps({{
     "cycles": result.cycles,
     "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -42,11 +40,9 @@ print(json.dumps({{
 """
 
 
-def measure(workload: str, length: int, materialize: bool) -> dict:
+def measure(workload: str, length: int) -> dict:
     """Run one timing job in a fresh interpreter; return its report."""
-    code = _CHILD.format(
-        src=str(SRC), length=length, workload=workload, materialize=materialize
-    )
+    code = _CHILD.format(src=str(SRC), length=length, workload=workload)
     out = subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True, text=True
     )
@@ -62,17 +58,13 @@ def main(argv=None) -> int:
                         help="short-trace access count (default: 125k)")
     parser.add_argument("--ratio", type=float, default=1.5,
                         help="max allowed long/short peak-RSS ratio")
-    parser.add_argument("--materialize", action="store_true",
-                        help="measure the compatibility path instead "
-                        "(expected to fail the ratio check)")
     args = parser.parse_args(argv)
 
-    short = measure(args.workload, args.baseline_length, args.materialize)
-    long_ = measure(args.workload, args.length, args.materialize)
+    short = measure(args.workload, args.baseline_length)
+    long_ = measure(args.workload, args.length)
     ratio = long_["peak_rss_kb"] / max(1, short["peak_rss_kb"])
-    mode = "materialized" if args.materialize else "streaming"
     print(
-        f"[{mode}] {args.workload}: "
+        f"[streaming] {args.workload}: "
         f"{args.baseline_length} accesses -> {short['peak_rss_kb']} kB peak, "
         f"{args.length} accesses -> {long_['peak_rss_kb']} kB peak "
         f"(ratio {ratio:.2f}, limit {args.ratio:.2f})"

@@ -16,12 +16,11 @@ from repro.sim.driver import SimulationDriver
 
 
 @pytest.mark.parametrize("window", [0, 2, 4])
-def test_placement_window_ablation(benchmark, quick_config, window):
-    trace = quick_config.trace("db2")
-
+def test_placement_window_ablation(benchmark, quick_config, db2_trace,
+                                   window):
     def run():
         pf = STeMSPrefetcher(STeMSConfig(placement_window=window))
-        return SimulationDriver(quick_config.system, pf).run(trace), pf
+        return SimulationDriver(quick_config.system, pf).run(db2_trace), pf
 
     result, pf = benchmark.pedantic(run, rounds=1, iterations=1)
     placed = pf.stats.get("recon_placed_original") + pf.stats.get(
@@ -34,12 +33,11 @@ def test_placement_window_ablation(benchmark, quick_config, window):
 
 
 @pytest.mark.parametrize("use_counters", [False, True])
-def test_counter_vs_bitvector_ablation(benchmark, quick_config, use_counters):
-    trace = quick_config.trace("db2")
-
+def test_counter_vs_bitvector_ablation(benchmark, quick_config, db2_trace,
+                                       use_counters):
     def run():
         pf = SMSPrefetcher(SMSConfig(use_counters=use_counters))
-        return SimulationDriver(quick_config.system, pf).run(trace)
+        return SimulationDriver(quick_config.system, pf).run(db2_trace)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     label = "2-bit counters" if use_counters else "bit vectors"
@@ -49,12 +47,10 @@ def test_counter_vs_bitvector_ablation(benchmark, quick_config, use_counters):
 
 
 @pytest.mark.parametrize("lookahead", [4, 8, 12])
-def test_lookahead_ablation(benchmark, quick_config, lookahead):
-    trace = quick_config.trace("db2")
-
+def test_lookahead_ablation(benchmark, quick_config, db2_trace, lookahead):
     def run():
         pf = STeMSPrefetcher(STeMSConfig(lookahead=lookahead))
-        return SimulationDriver(quick_config.system, pf).run(trace)
+        return SimulationDriver(quick_config.system, pf).run(db2_trace)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nlookahead={lookahead}: coverage={result.coverage:.1%} "

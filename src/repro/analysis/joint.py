@@ -198,8 +198,7 @@ def joint_coverage_analysis(
     which generators may overshoot by up to one burst) into the
     ``measure_from`` index the incremental classifier uses. The engine
     path (:mod:`repro.engine.exec`) instead resolves against the job's
-    requested length on both the streamed and materialized paths, which
-    is where bit-parity is guaranteed.
+    requested length, which is what every execution mode shares.
     """
     if not 0.0 <= skip_fraction < 1.0:
         raise ValueError(f"skip_fraction must be in [0, 1), got {skip_fraction}")

@@ -30,12 +30,7 @@ Typical use::
 
 from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.engine import Engine, EngineStats, ResultMap
-from repro.engine.exec import (
-    build_prefetcher,
-    execute_job,
-    job_trace,
-    materialized_trace,
-)
+from repro.engine.exec import build_prefetcher, execute_job, job_trace
 from repro.engine.fanout import job_consumer, run_group
 from repro.engine.faultinject import FaultPlan
 from repro.engine.faults import (
@@ -97,7 +92,6 @@ __all__ = [
     "job_trace",
     "list_runs",
     "load_run",
-    "materialized_trace",
     "run_group",
     "runs_root",
 ]

@@ -57,7 +57,6 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.exec import (
-    default_materialize,
     execute_job,
     execute_jobs_broadcast,
     execute_job_for_pool,
@@ -74,7 +73,6 @@ from repro.engine.faults import (
 )
 from repro.engine.graph import JobGraph
 from repro.engine.job import SimJob
-from repro.kernels import resolve_kernel
 from repro.telemetry import MetricsRegistry, RunTelemetry, process_registry
 from repro.tracestore import TraceStore
 from repro.tracestore.broadcast import (
@@ -107,8 +105,7 @@ class EngineStats:
     ``passes_saved`` counts executed jobs that did *not* need their own
     generation pass (fed by fan-out or a store replay), and
     ``store_hits`` / ``store_misses`` / ``bytes_replayed`` account the
-    trace store itself. The materialize compatibility mode bypasses the
-    trace plane, so these stay zero there.
+    trace store itself.
 
     The broadcast counters account the shared-memory fan-out plane:
     ``broadcast_waves`` counts trace-key groups served by one reader
@@ -272,21 +269,16 @@ class Engine:
         jobs: worker processes for simulation jobs (1 = serial/inline).
         cache_dir: on-disk result cache directory, or None to disable.
         use_cache: set False to neither read nor write ``cache_dir``.
-        materialize: compatibility flag — True generates each job's trace
-            into memory (per-process memo) instead of streaming it;
-            results are bit-identical either way, but streaming keeps
-            peak memory independent of trace length. None defers to the
-            ``REPRO_MATERIALIZE`` environment variable.
         trace_store: directory (or :class:`TraceStore`) for the shared
             trace plane — traces are recorded once and replayed by every
             job and worker that shares the trace key. None keeps traces
             in-process only (serial fan-out still shares walks).
         broadcast: shared-memory fan-out mode (``"auto"`` / ``"on"`` /
-            ``"off"``). Under ``jobs > 1`` with a trace store attached
-            (streaming mode), jobs sharing a trace key consume one
-            reader process's walk over a shared-memory chunk ring
-            instead of each replaying the store — N jobs over one key
-            cost exactly one trace walk. ``auto`` (the default)
+            ``"off"``). Under ``jobs > 1`` with a trace store attached,
+            jobs sharing a trace key consume one reader process's walk
+            over a shared-memory chunk ring instead of each replaying
+            the store — N jobs over one key cost exactly one trace
+            walk. ``auto`` (the default)
             broadcasts whenever the prerequisites hold; ``off`` forces
             independent replay; ``on`` is ``auto`` plus a warning when
             broadcasting is impossible. None defers to the
@@ -311,11 +303,6 @@ class Engine:
             futures, and raises
             :class:`~repro.engine.faults.RunInterrupted` — the
             graceful-shutdown hook. None disables the check.
-        kernel: trace-walk kernel (``"python"``/``"vector"``), resolved
-            once at construction (explicit argument > ``REPRO_KERNEL``
-            environment variable > vector-when-numpy-importable). An
-            execution detail only: it never enters job hashes or cache
-            keys, and both kernels produce bit-identical results.
 
     An engine is a context manager; leaving the ``with`` block closes
     the result cache's sqlite catalog handle deterministically.
@@ -329,21 +316,17 @@ class Engine:
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         use_cache: bool = True,
-        materialize: Optional[bool] = None,
         trace_store: Optional[Union[str, Path, TraceStore]] = None,
         broadcast: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         strict: bool = False,
         journal: Optional[Any] = None,
         interrupt: Optional[Any] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        self.kernel = resolve_kernel(kernel)
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if (cache_dir and use_cache) else None
         )
-        self.materialize = materialize
         if trace_store is not None and not isinstance(trace_store, TraceStore):
             trace_store = TraceStore(trace_store)
         self.trace_store: Optional[TraceStore] = trace_store
@@ -355,7 +338,6 @@ class Engine:
         self.telemetry = RunTelemetry()
         self.stats = EngineStats(self.telemetry.registry)
         registry = self.telemetry.registry
-        registry.set_gauge("engine.kernel", self.kernel)
         registry.set_gauge("engine.jobs", self.jobs)
         registry.set_gauge("engine.broadcast", self.broadcast)
 
@@ -467,28 +449,16 @@ class Engine:
         self._check_interrupt()
 
     def _execute(self, pending: "list[SimJob]") -> Iterable["tuple[SimJob, Any]"]:
-        materialize = (
-            self.materialize
-            if self.materialize is not None
-            else default_materialize()
-        )
         if self.jobs > 1 and len(pending) > 1:
-            yield from self._execute_parallel(pending, materialize)
+            yield from self._execute_parallel(pending)
         else:
-            yield from self._execute_serial(pending, materialize)
+            yield from self._execute_serial(pending)
 
     # -- serial: fan one trace walk out to every job sharing its key -------
 
     def _execute_serial(
-        self, pending: "list[SimJob]", materialize: bool
+        self, pending: "list[SimJob]"
     ) -> Iterable["tuple[SimJob, Any]"]:
-        if materialize:
-            # compatibility mode: the per-process trace memo already
-            # shares generation; bypass the trace plane entirely
-            for job in pending:
-                self._dispatch_gate()
-                yield job, self._solo_with_retries(job, True)
-            return
         for key, group in _grouped_by_trace_key(pending).items():
             yield from self._run_group_resilient(key, group)
 
@@ -523,7 +493,7 @@ class Engine:
         for _ in range(2):
             accesses, generated = self._serial_pass(key)
             try:
-                results = run_group(group, accesses, self.kernel)
+                results = run_group(group, accesses)
             except Exception as error:
                 if store is not None and store.quarantine_if_damaged(
                     key, f"replay failed mid-walk: {error}"
@@ -538,13 +508,10 @@ class Engine:
             return
         stats.isolation_fallbacks += 1
         for job in group:
-            yield job, self._solo_with_retries(job, False)
+            yield job, self._solo_with_retries(job)
 
     def _solo_with_retries(
-        self,
-        job: SimJob,
-        materialize: bool,
-        log: Optional[AttemptLog] = None,
+        self, job: SimJob, log: Optional[AttemptLog] = None
     ) -> Any:
         """Execute one job inline under the retry policy.
 
@@ -555,7 +522,7 @@ class Engine:
         regenerates instead of replaying the same damage.
         """
         log = log or AttemptLog(job.job_hash, job.label())
-        store = self.trace_store if not materialize else None
+        store = self.trace_store
         policy = self.retry
         journal = self.journal
         while True:
@@ -566,9 +533,7 @@ class Engine:
             self.telemetry.attempt_started(job.job_hash, attempt)
             before = store.stats.as_dict() if store is not None else None
             try:
-                result = execute_job(
-                    job, materialize, store, attempt, self.kernel
-                )
+                result = execute_job(job, store, attempt)
             except Exception as error:
                 if store is not None and store.quarantine_if_damaged(
                     job.trace_key, f"replay failed: {error}"
@@ -596,7 +561,7 @@ class Engine:
                 delta = _stats_delta(store.stats.as_dict(), before)
                 self.stats.absorb_trace_stats(delta)
                 self.stats.passes_saved += 1 - delta.get("generated", 0)
-            elif not materialize:
+            else:
                 self.stats.generation_passes += 1
             return result
 
@@ -632,15 +597,14 @@ class Engine:
     # -- parallel: broadcast waves, then per-job futures -------------------
 
     def _execute_parallel(
-        self, pending: "list[SimJob]", materialize: bool
+        self, pending: "list[SimJob]"
     ) -> Iterable["tuple[SimJob, Any]"]:
         # group-by-trace scheduling: keep jobs that share a trace
-        # adjacent so reused pool workers hit their trace memo
-        # (materialize mode) or the store's OS page cache (replay)
+        # adjacent so reused pool workers hit the store's OS page cache
         ordered = sorted(pending, key=lambda j: (j.trace_key, j.job_hash))
         store = self.trace_store
         store_dir: Optional[str] = None
-        if store is not None and not materialize:
+        if store is not None:
             store_dir = str(store.directory)
         logs: "dict[str, AttemptLog]" = {}
         if store_dir is not None and self._broadcast_active():
@@ -658,14 +622,13 @@ class Engine:
         elif self.broadcast == MODE_ON and store_dir is None:
             print(
                 "[engine: --broadcast on has no effect without a trace "
-                "store (streaming mode); replaying independently]",
+                "store; replaying independently]",
                 file=sys.stderr,
             )
         if not ordered:
             return
         supervisor = _PoolSupervisor(
-            self, ordered, min(self.jobs, len(ordered)), materialize,
-            store_dir, logs,
+            self, ordered, min(self.jobs, len(ordered)), store_dir, logs
         )
         yield from supervisor.run()
 
@@ -756,7 +719,7 @@ class Engine:
             outstanding[index] = (bundle, multiprocessing.Process(
                 target=execute_jobs_broadcast,
                 args=(bundle, ring.consumer(index), index, store_dir,
-                      self.kernel, out_queue),
+                      out_queue),
                 daemon=True,
             ))
         processes = [proc for _, proc in outstanding.values()]
@@ -942,7 +905,6 @@ class _PoolSupervisor:
         engine: Engine,
         jobs: "list[SimJob]",
         workers: int,
-        materialize: bool,
         store_dir: Optional[str],
         logs: Optional["dict[str, AttemptLog]"] = None,
     ) -> None:
@@ -951,7 +913,6 @@ class _PoolSupervisor:
         self.policy = engine.retry
         self.jobs = jobs
         self.workers = workers
-        self.materialize = materialize
         self.store_dir = store_dir
         # attempt logs carried over from a broadcast wave, so a job
         # requeued off a failed wave keeps its charged attempts
@@ -1030,10 +991,9 @@ class _PoolSupervisor:
                             job.job_hash, delta.pop("telemetry", None) or {}
                         )
                         self.stats.absorb_trace_stats(delta)
-                        if not self.materialize:
-                            self.stats.passes_saved += 1 - delta.get(
-                                "generated", 0
-                            )
+                        self.stats.passes_saved += 1 - delta.get(
+                            "generated", 0
+                        )
                         yield job, result
                 if broken:
                     # jobs still in flight share the broken pool's fate:
@@ -1075,10 +1035,8 @@ class _PoolSupervisor:
                 future = self.pool.submit(
                     execute_job_for_pool,
                     job,
-                    materialize=self.engine.materialize,
                     trace_store_dir=self.store_dir,
                     attempt=log.attempts + 1,
-                    kernel=self.engine.kernel,
                 )
             except (BrokenProcessPool, RuntimeError):
                 queue.append((job, log, ready_at))
@@ -1204,9 +1162,7 @@ class _PoolSupervisor:
         queue.clear()
         in_flight.clear()
         for job, log in remainder:
-            yield job, self.engine._solo_with_retries(
-                job, self.materialize, log
-            )
+            yield job, self.engine._solo_with_retries(job, log)
 
     def _record_missing(self) -> Iterable:
         """Pre-record each distinct missing trace exactly once, fanned
@@ -1266,15 +1222,13 @@ def _stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int
 
 
 class _AccountedSource:
-    """A single-pass view of a trace-store source that folds the store's
-    accounting delta (minus the generation passes the engine already
-    counted) into ``stats`` when the walk completes.
+    """A single-pass chunk view of a trace-store source that folds the
+    store's accounting delta (minus the generation passes the engine
+    already counted) into ``stats`` when the walk completes.
 
-    Exposes both walk shapes so the fan-out pump picks whichever its
-    kernel wants: per-record iteration, or native chunks (a recorded
-    entry decodes whole stored chunks columnar; a record-during-walk
-    generation pass is batched generically with the tee side effects
-    intact).
+    A recorded entry decodes whole stored chunks columnar; a
+    record-during-walk generation pass is batched generically with the
+    tee side effects intact.
     """
 
     __slots__ = ("_source", "_store", "_before", "_stats", "_generated")
@@ -1291,10 +1245,6 @@ class _AccountedSource:
         delta = _stats_delta(self._store.stats.as_dict(), self._before)
         delta["generated"] -= self._generated
         self._stats.absorb_trace_stats(delta)
-
-    def __iter__(self):
-        yield from self._source
-        self._fold()
 
     def iter_chunks(self):
         yield from self._source.iter_chunks()

@@ -7,7 +7,7 @@ runs identically inline (serial mode) and inside a
 either way because every job rebuilds its trace and predictor from the
 job's seeds alone.
 
-Every job kind runs **single-pass and O(1) in memory** by default: the
+Every job kind runs **single-pass and O(1) in memory**: the
 trace is a re-iterable :class:`~repro.trace.container.TraceSource` whose
 accesses flow straight into the coverage driver / analysis consumers and
 are garbage the moment they are processed. A timing job shares one walk
@@ -18,23 +18,12 @@ replays the recorded binary trace (or records it during the first walk)
 instead of regenerating it — same sequence, same results, no generator
 cost; :func:`execute_job_for_pool` is the worker entry that also
 returns the replay/recording accounting to the parent engine.
-
-The **materialize compatibility flag** (``execute_job(job,
-materialize=True)``, ``Engine(materialize=True)``, CLI
-``--materialize``, env ``REPRO_MATERIALIZE=1``) restores the previous
-behaviour: traces are generated into memory once and memoized per
-process in a small bounded LRU keyed by ``(workload, length, seed)``,
-which trades O(trace) memory for cheaper repeat walks when many jobs
-share a trace. Both paths walk the identical access sequence through
-identical consumers, so results are bit-identical — the flag only moves
-the memory/time trade-off.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
@@ -66,66 +55,23 @@ from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.stems.stems import STeMSPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
-from repro.kernels import resolve_kernel
 from repro.sim.driver import SimulationDriver
 from repro.sim.timing import TimingModel
 from repro.telemetry import process_registry, telemetry_enabled
-from repro.trace.container import Trace, TraceLike
-from repro.workloads.registry import (
-    WORKLOAD_CATEGORIES,
-    make_workload,
-    stream_workload,
-)
-
-def default_materialize() -> bool:
-    """Process-wide default for the materialize compatibility flag.
-
-    Read from the ``REPRO_MATERIALIZE`` environment variable at call
-    time, so setting it after import (tests, wrapper scripts) works.
-    """
-    return os.environ.get("REPRO_MATERIALIZE", "").lower() in (
-        "1", "true", "yes",
-    )
-
-
-#: traces kept alive per process (materialize mode only); the suite has
-#: 10 workloads and traces are the dominant memory term, so keep the cap
-#: modest
-_TRACE_MEMO_CAP = 16
-_TRACE_MEMO: "OrderedDict[tuple, Trace]" = OrderedDict()
-
-
-def materialized_trace(workload: str, length: int, seed: int) -> Trace:
-    """Generate (or fetch from the per-process memo) one workload trace."""
-    key = (workload, length, seed)
-    trace = _TRACE_MEMO.get(key)
-    if trace is None:
-        trace = make_workload(workload).generate(length, seed=seed)
-        _TRACE_MEMO[key] = trace
-        while len(_TRACE_MEMO) > _TRACE_MEMO_CAP:
-            _TRACE_MEMO.popitem(last=False)
-    else:
-        _TRACE_MEMO.move_to_end(key)
-    return trace
-
-
-def clear_trace_memo() -> None:
-    _TRACE_MEMO.clear()
+from repro.trace.container import TraceLike
+from repro.workloads.registry import WORKLOAD_CATEGORIES, stream_workload
 
 
 def job_trace(
-    job: SimJob, materialize: bool, trace_store: Optional["TraceStore"] = None
+    job: SimJob, trace_store: Optional["TraceStore"] = None
 ) -> TraceLike:
     """The trace a job walks.
 
-    Precedence: the memoized in-memory trace when the materialize
-    compatibility flag is set; otherwise a :class:`TraceStore` source
-    when a store is supplied (replay if recorded, record-during-walk if
-    not); otherwise a fresh streaming generation pass. All three yield
-    the identical access sequence for a given trace key.
+    A :class:`TraceStore` source when a store is supplied (replay if
+    recorded, record-during-walk if not); otherwise a fresh streaming
+    generation pass. Both yield the identical access sequence for a
+    given trace key.
     """
-    if materialize:
-        return materialized_trace(job.workload, job.length, job.seed)
     if trace_store is not None:
         return trace_store.source(job.trace_key)
     return stream_workload(job.workload, job.length, job.seed)
@@ -194,8 +140,8 @@ def analysis_for_job(job: SimJob) -> Any:
     """The :class:`StreamingAnalysis` consumer for an analysis-kind job.
 
     Shared by the solo execution path (which drives ``consume(trace)``)
-    and the fan-out scheduler (which pushes ``update(access)`` from a
-    shared walk) so both construct identical analysis state.
+    and the fan-out scheduler (which pushes ``update_block(chunk)`` from
+    a shared walk) so both construct identical analysis state.
     """
     if job.kind == KIND_JOINT:
         skip = float(job.param("skip_fraction", 0.0))
@@ -219,27 +165,25 @@ def analysis_for_job(job: SimJob) -> Any:
     raise ValueError(f"job kind {job.kind!r} is not an analysis kind")
 
 
-def _run_coverage(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
+def _run_coverage(job: SimJob, trace: TraceLike) -> Any:
     prefetcher = build_prefetcher(job.prefetcher, job.workload)
-    return SimulationDriver(job.system, prefetcher).run(trace, kernel)
+    return SimulationDriver(job.system, prefetcher).run(trace)
 
 
-def _run_timing(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
+def _run_timing(job: SimJob, trace: TraceLike) -> Any:
     # one shared walk: the driver classifies each access and feeds the
     # incremental timing model in the same pass (no service list)
     prefetcher = build_prefetcher(job.prefetcher, job.workload)
     model = timing_model_for_job(job)
-    SimulationDriver(job.system, prefetcher, service_consumer=model).run(
-        trace, kernel
-    )
+    SimulationDriver(job.system, prefetcher, service_consumer=model).run(trace)
     return model.finalize()
 
 
-def _run_analysis(job: SimJob, trace: TraceLike, kernel: Optional[str]) -> Any:
-    return analysis_for_job(job).consume(trace, kernel)
+def _run_analysis(job: SimJob, trace: TraceLike) -> Any:
+    return analysis_for_job(job).consume(trace)
 
 
-_EXECUTORS: Dict[str, Callable[[SimJob, TraceLike, Optional[str]], Any]] = {
+_EXECUTORS: Dict[str, Callable[[SimJob, TraceLike], Any]] = {
     KIND_COVERAGE: _run_coverage,
     KIND_TIMING: _run_timing,
     KIND_JOINT: _run_analysis,
@@ -250,32 +194,22 @@ _EXECUTORS: Dict[str, Callable[[SimJob, TraceLike, Optional[str]], Any]] = {
 
 def execute_job(
     job: SimJob,
-    materialize: Optional[bool] = None,
     trace_store: Optional["TraceStore"] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Any:
     """Run one job to completion and return its result dataclass.
 
     Args:
         job: the simulation/analysis description to execute.
-        materialize: compatibility flag — True walks a memoized in-memory
-            trace instead of a streaming source; None (default) defers to
-            the ``REPRO_MATERIALIZE`` environment variable.
-        trace_store: when given (and not materializing), the job's trace
-            is replayed from — or recorded into — this on-disk store
-            instead of being regenerated.
+        trace_store: when given, the job's trace is replayed from — or
+            recorded into — this on-disk store instead of being
+            regenerated.
         attempt: 1-based attempt number (retry ladder); folded into the
             fault-injection draw so a retried job re-rolls its faults.
-        kernel: trace-walk kernel (``"python"``/``"vector"``/None, see
-            :func:`repro.kernels.resolve_kernel`). An execution detail:
-            it never enters the job hash, and both kernels produce
-            bit-identical results.
 
     Returns:
-        The kind-specific result dataclass; bit-identical across all
-        trace modes, kernels, serial/parallel execution and cache
-        round-trips.
+        The kind-specific result dataclass; bit-identical across trace
+        modes, serial/parallel execution and cache round-trips.
 
     A mid-walk :class:`~repro.tracestore.TraceFormatError` from a store
     replay (a corrupt or truncated entry caught by the codec's CRC) is
@@ -283,20 +217,14 @@ def execute_job(
     retrying, at which point the store regenerates (see
     ``execute_job_recovering``).
     """
-    if materialize is None:
-        materialize = default_materialize()
     maybe_fail_job(job.job_hash, attempt)
-    return _EXECUTORS[job.kind](
-        job, job_trace(job, materialize, trace_store), kernel
-    )
+    return _EXECUTORS[job.kind](job, job_trace(job, trace_store))
 
 
 def execute_job_recovering(
     job: SimJob,
-    materialize: Optional[bool] = None,
     trace_store: Optional["TraceStore"] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Any:
     """:func:`execute_job` with the replay→regeneration fallback wired.
 
@@ -311,9 +239,9 @@ def execute_job_recovering(
     and propagates to the caller's retry ladder.
     """
     if trace_store is None:
-        return execute_job(job, materialize, None, attempt, kernel)
+        return execute_job(job, None, attempt)
     try:
-        return execute_job(job, materialize, trace_store, attempt, kernel)
+        return execute_job(job, trace_store, attempt)
     except Exception as error:
         damaged = trace_store.quarantine_if_damaged(
             job.trace_key, f"replay failed: {error}"
@@ -324,22 +252,13 @@ def execute_job_recovering(
         if not damaged and not trace_store.was_quarantined(job.trace_key):
             raise
         trace_store.stats.replay_fallbacks += 1
-        return execute_job(job, materialize, trace_store, attempt, kernel)
-
-
-def execute_job_with_hash(
-    job: SimJob, materialize: Optional[bool] = None
-) -> "tuple[str, Any]":
-    """Pool-friendly wrapper: pairs the result with the job's hash."""
-    return job.job_hash, execute_job(job, materialize)
+        return execute_job(job, trace_store, attempt)
 
 
 def execute_job_for_pool(
     job: SimJob,
-    materialize: Optional[bool] = None,
     trace_store_dir: Optional[Union[str, Path]] = None,
     attempt: int = 1,
-    kernel: Optional[str] = None,
 ) -> Tuple[str, Any, Dict[str, int]]:
     """Worker-side entry: result plus the trace-plane accounting delta.
 
@@ -353,14 +272,12 @@ def execute_job_for_pool(
 
     With telemetry on, the dict additionally carries a ``"telemetry"``
     key — the worker's phase-timer delta plus a span self-report
-    (wall/CPU time, kernel, store hit/miss, bytes replayed) — which
+    (wall/CPU time, store hit/miss, bytes replayed) — which
     the parent pops before folding the trace counters; the tuple shape
     itself never changes.
     """
-    if materialize is None:
-        materialize = default_materialize()
     store = None
-    if trace_store_dir is not None and not materialize:
+    if trace_store_dir is not None:
         from repro.tracestore import TraceStore
 
         store = TraceStore(trace_store_dir)
@@ -368,11 +285,9 @@ def execute_job_for_pool(
     if telemetry:
         phase_before = process_registry().snapshot()
         wall0, cpu0 = time.perf_counter(), time.process_time()
-    result = execute_job_recovering(job, materialize, store, attempt, kernel)
+    result = execute_job_recovering(job, store, attempt)
     if store is not None:
         stats = store.stats.as_dict()
-    elif materialize:
-        stats = {}
     else:
         stats = {"generated": 1}
     if telemetry:
@@ -380,7 +295,6 @@ def execute_job_for_pool(
             "worker": f"worker-{os.getpid()}",
             "wall_s": time.perf_counter() - wall0,
             "cpu_s": time.process_time() - cpu0,
-            "kernel": resolve_kernel(kernel),
         }
         if store is not None:
             span["store"] = "hit" if stats.get("hits") else "miss"
@@ -400,7 +314,6 @@ def execute_jobs_broadcast(
     ring_consumer: Any,
     index: int,
     trace_store_dir: Union[str, Path],
-    kernel: Optional[str],
     out_queue: Any,
 ) -> None:
     """Broadcast-consumer process entry: a job bundle fed from one ring.
@@ -442,7 +355,6 @@ def execute_jobs_broadcast(
                 "worker": f"bundle-{index}",
                 "wall_s": time.perf_counter() - wall0,
                 "cpu_s": time.process_time() - cpu0,
-                "kernel": resolve_kernel(kernel),
                 "bundle_jobs": len(bundle),
             }
             if shared["broadcast_fallbacks"]:
@@ -454,7 +366,7 @@ def execute_jobs_broadcast(
         return shared
 
     try:
-        results = run_group(bundle, cursor, kernel)
+        results = run_group(bundle, cursor)
     except BaseException as error:  # noqa: BLE001 - reported, not silenced
         out_queue.put((
             index, "error", f"{type(error).__name__}: {error}",

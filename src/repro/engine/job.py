@@ -98,8 +98,8 @@ class SimJob:
     A job is pure data — executable anywhere, by any process, with a
     bit-identical result. Fractional knobs (``skip_fraction``,
     ``warmup_fraction``) are resolved against the *requested* ``length``
-    at execution time, so streaming and materialized runs agree without
-    either needing the generated trace's exact final length.
+    at execution time, so a streaming run never needs the generated
+    trace's exact final length.
 
     Attributes:
         kind: one of :data:`JOB_KINDS` (what to compute).

@@ -19,9 +19,7 @@ baselines and hybrid) are simulated exactly once, can fan out over a
 process pool (``--jobs N``), and land in an on-disk result cache
 (``--cache-dir``) that later invocations hit instead of re-simulating.
 Each job streams its trace through the driver/analysis consumers in one
-pass — peak memory is independent of ``--length`` — unless the
-``--materialize`` compatibility flag asks for in-memory traces; results
-are bit-identical either way.
+pass, chunk by chunk, so peak memory is independent of ``--length``.
 
 ``ExperimentConfig.small()`` is the fast preset used by tests and
 benchmarks; the default preset matches EXPERIMENTS.md.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional
 
 from repro.common.config import SystemConfig
-from repro.engine.exec import build_prefetcher, materialized_trace
+from repro.engine.exec import build_prefetcher
 from repro.engine.job import (
     KIND_CORRELATION,
     KIND_COVERAGE,
@@ -25,7 +25,6 @@ from repro.engine.job import (
     SimJob,
 )
 from repro.prefetch.base import Prefetcher
-from repro.trace.container import Trace
 from repro.workloads.registry import WORKLOAD_CATEGORIES, WORKLOAD_NAMES
 
 
@@ -48,12 +47,6 @@ class ExperimentConfig:
     def small() -> "ExperimentConfig":
         """Fast preset for tests and pytest-benchmark runs."""
         return ExperimentConfig(trace_length=40_000, sequitur_max=15_000)
-
-    # -- traces ------------------------------------------------------------
-
-    def trace(self, workload: str) -> Trace:
-        """The materialized trace for ``workload`` (engine-memoized)."""
-        return materialized_trace(workload, self.trace_length, self.seed)
 
     # -- job builders ------------------------------------------------------
 

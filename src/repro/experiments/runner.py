@@ -58,7 +58,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.engine import (
     Engine,
@@ -178,19 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (exit 2) on the first job that exhausts its retries "
         "instead of degrading it to a structured failure (exit 1)",
     )
-    engine_group.add_argument(
-        "--materialize", action="store_true",
-        help="compatibility mode: generate each trace into memory "
-        "(per-process memo) instead of streaming it; results are "
-        "bit-identical, but peak memory grows with trace length",
-    )
-    engine_group.add_argument(
-        "--kernel", choices=("python", "vector"), default=None,
-        help="trace-walk kernel: 'vector' decodes and classifies whole "
-        "record chunks at a time, 'python' is the record-at-a-time "
-        "reference oracle; results are bit-identical (default: "
-        "$REPRO_KERNEL if set, else vector when numpy is installed)",
-    )
     durable_group = parser.add_argument_group("durable runs")
     durable_group.add_argument(
         "--resume", default=None, metavar="RUN",
@@ -249,7 +236,6 @@ def make_engine(args: argparse.Namespace, journal=None,
     return Engine(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        materialize=True if args.materialize else None,
         trace_store=trace_store,
         broadcast=getattr(args, "broadcast", None),
         retry=RetryPolicy(
@@ -258,7 +244,6 @@ def make_engine(args: argparse.Namespace, journal=None,
         strict=args.strict,
         journal=journal,
         interrupt=interrupt,
-        kernel=args.kernel,
     )
 
 
@@ -333,9 +318,27 @@ def _resolve_resume(args: argparse.Namespace) -> argparse.Namespace:
     The current invocation's engine-shape flags (``--jobs``, explicit
     ``--cache-dir``) override the recorded ones — resuming a parallel
     run serially (or vice versa) is legal and bit-identical.
+
+    Raises:
+        JournalError: when no such run exists, or its argv holds
+            arguments this version no longer accepts (a removed flag) —
+            reported as such, not as a usage error about arguments the
+            user did not type.
     """
     record = find_run(runs_root(args.cache_dir), args.resume)
-    resumed = build_parser().parse_args(record.argv)
+
+    def reject(detail: str) -> NoReturn:
+        raise JournalError(
+            f"run {record.run_id} was recorded with arguments this version "
+            f"does not accept: {detail}; rerun the command without them — "
+            "finished jobs come from the result cache"
+        )
+
+    parser = build_parser()
+    parser.error = reject  # instead of a usage dump and exit
+    resumed, unknown = parser.parse_known_args(record.argv)
+    if unknown:
+        reject(" ".join(unknown))
     if resumed.resume:
         # a resume-of-a-resume recorded its own original argv; the
         # header argv is always the *effective* experiment invocation

@@ -5,22 +5,22 @@ shared by every plane that moves trace bytes: the on-disk codec
 (:mod:`repro.tracestore.codec`) frames these records into files, and
 the broadcast plane (:mod:`repro.tracestore.broadcast`) ships the same
 chunk payloads through shared memory. Both feed their bytes through
-:func:`decode_chunk` here, so a broadcast consumer materializes
+:func:`decode_chunk` here, so a broadcast consumer decodes
 :class:`AccessChunk` runs straight from the shared buffer — no file
 open, no index parse, no second decode path to keep bit-identical.
 
-The vector path decodes a whole chunk columnar with
-``numpy.frombuffer``; without numpy the scalar ``struct.iter_unpack``
-path produces the identical objects.
+A chunk decodes columnar with ``numpy.frombuffer``; the access objects
+are built with one C-driven ``map``.
 """
 
 from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import List, Tuple
+from typing import List
 
-from repro.kernels import numpy_or_none
+import numpy
+
 from repro.kernels.prepass import AccessChunk
 from repro.telemetry import PHASE_DECODE, phases_active
 from repro.trace.events import MemoryAccess
@@ -30,55 +30,24 @@ from repro.trace.events import MemoryAccess
 RECORD = struct.Struct("<QQqIB")
 RECORD_SIZE = RECORD.size
 
-
-def encode_access(access: MemoryAccess) -> bytes:
-    """One access as a fixed-size record (``index`` stays implicit)."""
-    depends = -1 if access.depends_on is None else access.depends_on
-    return RECORD.pack(
-        access.pc, access.address, depends, access.instr_gap,
-        1 if access.is_write else 0,
-    )
-
-
-def decode_record(index: int, record: Tuple[int, int, int, int, int]) -> MemoryAccess:
-    """Rebuild the access at trace position ``index`` from its record."""
-    pc, address, depends, instr_gap, is_write = record
-    return MemoryAccess(
-        index=index,
-        pc=pc,
-        address=address,
-        is_write=bool(is_write),
-        depends_on=None if depends < 0 else depends,
-        instr_gap=instr_gap,
-    )
-
-
-_RECORD_DTYPE = None
-
-
-def record_dtype(numpy):
-    """The numpy structured dtype mirroring :data:`RECORD` (cached)."""
-    global _RECORD_DTYPE
-    if _RECORD_DTYPE is None:
-        _RECORD_DTYPE = numpy.dtype([
-            ("pc", "<u8"),
-            ("address", "<u8"),
-            ("depends", "<i8"),
-            ("instr_gap", "<u4"),
-            ("is_write", "u1"),
-        ])
-        assert _RECORD_DTYPE.itemsize == RECORD_SIZE
-    return _RECORD_DTYPE
+#: the numpy structured dtype mirroring :data:`RECORD`
+RECORD_DTYPE = numpy.dtype([
+    ("pc", "<u8"),
+    ("address", "<u8"),
+    ("depends", "<i8"),
+    ("instr_gap", "<u4"),
+    ("is_write", "u1"),
+])
+assert RECORD_DTYPE.itemsize == RECORD_SIZE
 
 
 def decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     """Decode one aligned chunk of raw record bytes.
 
     The single chunk-decode used by file replay and shared-memory
-    broadcast alike. The vector path decodes the whole chunk columnar
-    with ``numpy.frombuffer`` and builds the access objects with one
-    C-driven ``map``; without numpy the scalar ``struct.iter_unpack``
-    path produces the identical objects.
+    broadcast alike: the whole chunk decodes columnar with
+    ``numpy.frombuffer`` and the access objects are built with one
+    C-driven ``map``.
 
     The ``chunk_decode`` phase timer wraps this function (one timer
     call per chunk, nothing per record; ``REPRO_TELEMETRY=off``
@@ -94,39 +63,23 @@ def decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
 
 
 def _decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
-    numpy = numpy_or_none()
     n = len(chunk) // RECORD_SIZE
-    if numpy is not None:
-        columns = numpy.frombuffer(chunk, dtype=record_dtype(numpy))
-        addresses = columns["address"]
-        depends = columns["depends"]
-        if bool((depends < 0).all()):
-            depends_list: List = [None] * n
-        else:
-            depends_list = depends.tolist()
-            for position in numpy.flatnonzero(depends < 0).tolist():
-                depends_list[position] = None
-        accesses = list(map(
-            MemoryAccess,
-            range(first_index, first_index + n),
-            columns["pc"].tolist(),
-            addresses.tolist(),
-            (columns["is_write"] != 0).tolist(),
-            depends_list,
-            columns["instr_gap"].tolist(),
-        ))
-        return AccessChunk(accesses, start_index=first_index,
-                           addresses=addresses)
-    accesses = [
-        MemoryAccess(
-            index=index,
-            pc=pc,
-            address=address,
-            is_write=bool(is_write),
-            depends_on=None if depends < 0 else depends,
-            instr_gap=instr_gap,
-        )
-        for index, (pc, address, depends, instr_gap, is_write)
-        in enumerate(RECORD.iter_unpack(chunk), start=first_index)
-    ]
-    return AccessChunk(accesses, start_index=first_index)
+    columns = numpy.frombuffer(chunk, dtype=RECORD_DTYPE)
+    addresses = columns["address"]
+    depends = columns["depends"]
+    if bool((depends < 0).all()):
+        depends_list: List = [None] * n
+    else:
+        depends_list = depends.tolist()
+        for position in numpy.flatnonzero(depends < 0).tolist():
+            depends_list[position] = None
+    accesses = list(map(
+        MemoryAccess,
+        range(first_index, first_index + n),
+        columns["pc"].tolist(),
+        addresses.tolist(),
+        (columns["is_write"] != 0).tolist(),
+        depends_list,
+        columns["instr_gap"].tolist(),
+    ))
+    return AccessChunk(accesses, start_index=first_index, addresses=addresses)

@@ -7,10 +7,9 @@ metadata plus a factory that yields accesses on demand, so the whole
 pipeline (coverage driver, incremental timing model, streaming analyses)
 can walk arbitrarily long traces in O(1) memory. ``materialize()`` —
 the identity on a :class:`Trace` — drains a source into memory; the
-engine only does that behind its explicit compatibility flag, and the
-few consumers that genuinely need random access or ``len()``
-(``simulate_timing`` over a recorded service list, trace persistence)
-take a :class:`Trace` directly.
+engine never does, and the few consumers that genuinely need random
+access or ``len()`` (``simulate_timing`` over a recorded service list,
+trace persistence) take a :class:`Trace` directly.
 """
 
 from __future__ import annotations
@@ -73,16 +72,6 @@ class Trace:
 
     def reads(self) -> Iterator[MemoryAccess]:
         return (a for a in self.accesses if not a.is_write)
-
-    def iter_chunks(self) -> Iterator["AccessChunk"]:
-        """The trace as aligned :class:`~repro.kernels.AccessChunk` runs.
-
-        The chunk-granular walk for the vector kernel: same accesses,
-        same order, batched by slicing (no per-access iteration).
-        """
-        from repro.kernels.prepass import chunk_sequence
-
-        return chunk_sequence(self.accesses)
 
     def materialize(self) -> "Trace":
         """A :class:`Trace` is already materialized; returns itself."""
@@ -190,8 +179,8 @@ class TraceSource:
     def materialize(self) -> Trace:
         """Drain the source into an in-memory :class:`Trace`.
 
-        This is the O(trace)-memory escape hatch: the engine streams by
-        default and only materializes behind its compatibility flag.
+        This is the O(trace)-memory escape hatch for examples and tests:
+        the engine always streams.
 
         Returns:
             A :class:`Trace` holding every access the factory yields.

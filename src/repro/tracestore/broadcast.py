@@ -36,11 +36,11 @@ import zlib
 from time import perf_counter
 from typing import Callable, Iterator, List, Optional
 
+from repro.kernels import CHUNK_RECORDS
 from repro.kernels.decode import RECORD_SIZE, decode_chunk
-from repro.telemetry import process_registry, telemetry_enabled
 from repro.kernels.prepass import AccessChunk, chunk_accesses
+from repro.telemetry import process_registry, telemetry_enabled
 from repro.tracestore.codec import (
-    CHUNK_RECORDS,
     FOOTER_SIZE,
     read_access_chunks,
     read_entry_info,
@@ -78,8 +78,8 @@ _POLL_SECONDS = 0.2
 def resolve_broadcast(mode: Optional[str] = None) -> str:
     """Resolve an optional broadcast request to a concrete mode.
 
-    Precedence mirrors the kernel selector: explicit argument, then the
-    ``REPRO_BROADCAST`` environment variable, then ``auto``.
+    Precedence: explicit argument, then the ``REPRO_BROADCAST``
+    environment variable, then ``auto``.
 
     Raises:
         ValueError: on an unknown mode (argument or environment).
@@ -367,9 +367,6 @@ class ChunkCursor:
     of the stream as an independent replay from exactly the first
     record this consumer has not yet seen — the simulation state never
     notices, so results stay bit-identical.
-
-    Exposes both walk shapes the fan-out pump uses (``iter_chunks`` for
-    the vector kernel, plain iteration for the python kernel).
     """
 
     def __init__(
@@ -418,10 +415,6 @@ class ChunkCursor:
             self.next_record = chunk.start_index + len(chunk)
             yield chunk
         self.complete = True
-
-    def __iter__(self):
-        for chunk in self.iter_chunks():
-            yield from chunk.accesses
 
     def accounting(self) -> "dict[str, int]":
         return {

@@ -21,7 +21,7 @@ corrupted files instead of replaying garbage into a simulation.
 
 The index section (codec version 2) maps each aligned
 :data:`CHUNK_RECORDS`-record chunk to its byte offset and its own CRC.
-It is what makes the chunk the replay unit: the vector kernel decodes
+It is what makes the chunk the replay unit: the trace walk decodes
 whole chunks at once (:func:`read_access_chunks`), and a windowed
 replay (``start_record=N``) seeks straight to the chunk containing
 record *N* and verifies only the chunks it actually reads — warm-up
@@ -42,13 +42,8 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
-from repro.kernels.decode import (  # noqa: F401  (re-exported wire format)
-    RECORD,
-    RECORD_SIZE,
-    decode_chunk,
-    decode_record,
-    encode_access,
-)
+from repro.kernels import CHUNK_RECORDS
+from repro.kernels.decode import RECORD, RECORD_SIZE, decode_chunk
 from repro.kernels.prepass import AccessChunk
 from repro.trace.events import MemoryAccess
 
@@ -66,10 +61,6 @@ FOOTER_SIZE = _FOOTER.size
 
 _INDEX_HEADER = struct.Struct("<4sI")  # magic, entry count
 _INDEX_ENTRY = struct.Struct("<QQI")  # first record index, byte offset, crc32
-
-#: records per aligned chunk: the write/read syscall granularity, the
-#: index granularity, and the vector kernel's decode unit
-CHUNK_RECORDS = 4096
 
 
 class TraceFormatError(ValueError):
@@ -440,12 +431,6 @@ def _iter_chunk_bytes_from(
             yield entry.record_index, chunk
 
 
-#: chunk decode lives in :mod:`repro.kernels.decode` so the broadcast
-#: plane shares it byte-for-byte; kept under the old private name for
-#: in-package callers
-_decode_chunk = decode_chunk
-
-
 def read_access_chunks(
     path: Union[str, Path], start_record: int = 0
 ) -> Iterator[AccessChunk]:
@@ -468,7 +453,7 @@ def read_access_chunks(
     else:
         raw = _iter_chunk_bytes(path)
     for first_index, chunk in raw:
-        decoded = _decode_chunk(first_index, chunk)
+        decoded = decode_chunk(first_index, chunk)
         if start_record > first_index:
             trim = start_record - first_index
             decoded = AccessChunk(

@@ -292,10 +292,10 @@ class TraceStore:
     def open_source(self, key: TraceKey, start_record: int = 0) -> TraceSource:
         """Replay an existing entry as a re-iterable :class:`TraceSource`.
 
-        The source carries a native chunk factory: chunk-granular
-        consumers (the vector kernel) decode whole stored chunks
-        columnar via :meth:`TraceSource.iter_chunks`, while per-record
-        consumers iterate as before. With ``start_record > 0`` the
+        The source carries a native chunk factory: the trace walk
+        decodes whole stored chunks columnar via
+        :meth:`TraceSource.iter_chunks`, while per-record consumers
+        iterate as before. With ``start_record > 0`` the
         replay seeks via the entry's chunk index and skips the warm-up
         prefix (windowed replay, validated by per-chunk CRCs).
 

@@ -197,7 +197,9 @@ class TestChunkCursor:
         cursor = ChunkCursor(
             ring.consumer(0), replay_fallback(str(tmp_path / "store"), KEY)
         )
-        assert list(cursor) == expected
+        assert [
+            access for chunk in cursor.iter_chunks() for access in chunk
+        ] == expected
         assert cursor.degraded and cursor.complete
         assert cursor.accounting() == {
             "broadcast_chunks": 0, "bytes_shared": 0, "broadcast_fallbacks": 1,

@@ -493,3 +493,23 @@ class TestInterruptionSemantics:
         )
         assert result.returncode == 2
         assert "no run 'nope'" in result.stderr
+
+    def test_resume_with_removed_flag_exits_2(self, tmp_path, capsys):
+        from repro.experiments.runner import main
+
+        cache = tmp_path / "cache"
+        journal = RunJournal.create(
+            runs_root(cache),
+            header={"argv": ["fig9", "--small", "--kernel", "python"]},
+            fsync=False,
+        )
+        journal.finish("interrupted")
+        code = main(["--resume", journal.run_id, "--cache-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (
+            f"[resume: run {journal.run_id} was recorded with arguments this "
+            "version does not accept: --kernel python; rerun the command "
+            "without them — finished jobs come from the result cache]"
+        ) in err
+        assert "usage:" not in err

@@ -1,30 +1,27 @@
-"""Tests for the kernel layer (:mod:`repro.kernels`): chunked codec
-decode, the vectorized pre-pass, kernel selection, and vector-vs-python
-parity across every experiment, both engine modes, replay, and
-fault-injected runs."""
+"""Tests for the trace walk's chunk layer (:mod:`repro.kernels`): chunked
+codec decode, the block-id pre-pass, and every experiment's chunk walk
+against a reference loop that feeds each trace one access at a time."""
 
 import pytest
 
-import repro.kernels as kernels
-from repro.engine import Engine, JobGraph, RetryPolicy
+from repro.engine import Engine, JobGraph
+from repro.engine.exec import (
+    analysis_for_job,
+    build_prefetcher,
+    timing_model_for_job,
+)
 from repro.engine.faultinject import ENV_VAR as FAULT_ENV
+from repro.engine.job import KIND_COVERAGE, KIND_TIMING
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS
-from repro.experiments import fig9, fig10
-from repro.kernels import (
-    CHUNK_RECORDS,
-    ENV_VAR,
-    KERNEL_PYTHON,
-    KERNEL_VECTOR,
-    default_kernel,
-    resolve_kernel,
-)
+from repro.kernels import CHUNK_RECORDS
 from repro.kernels.prepass import (
     AccessChunk,
     chunk_accesses,
     iter_trace_chunks,
 )
-from repro.trace.container import Trace
+from repro.sim.driver import SimulationDriver
+from repro.trace.container import TraceSource
 from repro.trace.events import MemoryAccess
 from repro.tracestore import TraceFormatError, write_trace, read_accesses
 from repro.tracestore.codec import (
@@ -64,8 +61,7 @@ def trace_path(tmp_path_factory, generated):
 
 
 @pytest.fixture(autouse=True)
-def _no_ambient_overrides(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def _no_ambient_injection(monkeypatch):
     monkeypatch.delenv(FAULT_ENV, raising=False)
 
 
@@ -151,15 +147,14 @@ class TestPrepass:
             for i, addr in enumerate([0, 64, 2048, 4096, 2112, 65, 1 << 33])
         ]
 
-    def test_derived_columns_match_per_record_reference(self):
+    def test_derived_columns_match_per_record_reference(self, trace_path):
         accesses = self._accesses()
         chunk = AccessChunk(accesses)
         assert chunk.blocks_for(6) == [a.address >> 6 for a in accesses]
-        assert chunk.regions_for(11) == [a.address >> 11 for a in accesses]
-        assert chunk.read_mask() == [not a.is_write for a in accesses]
-        blocks = chunk.blocks_for(6)
-        assert chunk.stride_deltas(6) == [0] + [
-            b - a for a, b in zip(blocks, blocks[1:])
+        # a decoded chunk shifts its numpy address column instead
+        decoded = next(read_access_chunks(trace_path))
+        assert decoded.blocks_for(6) == [
+            a.address >> 6 for a in decoded.accesses
         ]
 
     def test_derived_columns_cached(self):
@@ -173,46 +168,18 @@ class TestPrepass:
         assert [c.start_index for c in chunks][:3] == [0, 1000, 2000]
         assert _concat(chunks) == generated
 
-    def test_iter_trace_chunks_prefers_native_chunks(self, generated):
-        trace = Trace(name="db2", accesses=generated)
-        assert _concat(iter_trace_chunks(trace)) == generated
+    def test_iter_trace_chunks_prefers_native_chunks(
+        self, trace_path, generated
+    ):
+        source = TraceSource(
+            "db2", factory=lambda: iter(generated),
+            chunk_factory=lambda: read_access_chunks(trace_path),
+        )
+        native = list(iter_trace_chunks(source))
+        assert _concat(native) == generated
+        assert native[0]._addresses is not None  # decoded, not batched
         # plain iterables go through the generic batcher
         assert _concat(iter_trace_chunks(iter(generated))) == generated
-
-
-class TestKernelSelection:
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, KERNEL_PYTHON)
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, KERNEL_PYTHON)
-        assert resolve_kernel(None) == KERNEL_PYTHON
-
-    def test_default_tracks_numpy_availability(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy_checked", True)
-        monkeypatch.setattr(kernels, "_numpy", None)
-        assert default_kernel() == KERNEL_PYTHON
-
-    @pytest.mark.parametrize("bad", ["turbo", "PYTHONIC", ""])
-    def test_unknown_kernel_rejected(self, bad, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_kernel(bad)
-        monkeypatch.setenv(ENV_VAR, bad)
-        if bad.strip():
-            with pytest.raises(ValueError):
-                resolve_kernel(None)
-
-    def test_vector_without_numpy_notes_fallback_once(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(kernels, "_numpy_checked", True)
-        monkeypatch.setattr(kernels, "_numpy", None)
-        monkeypatch.setattr(kernels, "_fallback_noted", False)
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-        assert resolve_kernel(KERNEL_VECTOR) == KERNEL_VECTOR
-        err = capsys.readouterr().err
-        assert err.count("falling back") == 1
 
 
 def _parity_config():
@@ -222,41 +189,51 @@ def _parity_config():
     return config
 
 
+def _walk_per_record(job, accesses):
+    """The reference: ``job`` fed one access at a time through the
+    per-access entry points, no chunks."""
+    if job.kind in (KIND_COVERAGE, KIND_TIMING):
+        model = timing_model_for_job(job) if job.kind == KIND_TIMING else None
+        walk = SimulationDriver(
+            job.system, build_prefetcher(job.prefetcher, job.workload),
+            service_consumer=model,
+        ).start(job.workload)
+        block_bits = job.system.address_map.block_bits
+        for access in accesses:
+            walk.step(access, access.address >> block_bits)
+        coverage = walk.finish()
+        return coverage if model is None else model.finalize()
+    analysis = analysis_for_job(job)
+    for access in accesses:
+        analysis.update(access)
+    return analysis.finalize()
+
+
+@pytest.fixture(scope="module")
+def walked():
+    """Every experiment in one graph, run by the engine, and every job
+    of it run again by the per-record reference."""
+    config = _parity_config()
+    graph = JobGraph()
+    for module in EXPERIMENTS.values():
+        module.declare(config, graph)
+    results = Engine().run(graph)
+    traces = {}
+    reference = {}
+    for job in graph:
+        if job.trace_key not in traces:
+            traces[job.trace_key] = list(stream_workload(*job.trace_key))
+        reference[job.job_hash] = _walk_per_record(job, traces[job.trace_key])
+    return config, results, reference
+
+
 class TestParity:
-    """The acceptance gate: both kernels produce bit-identical results."""
+    """The chunk walk is bit-identical to feeding one access at a time."""
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-    def test_every_experiment_serial(self, name):
-        module = EXPERIMENTS[name]
-        config = _parity_config()
-        reference = module.run(config, engine=Engine(kernel=KERNEL_PYTHON))
-        vectored = module.run(config, engine=Engine(kernel=KERNEL_VECTOR))
-        assert reference == vectored
-
-    def _sweep(self, **engine_kwargs):
-        config = _parity_config()
+    def test_every_experiment_serial(self, walked, name):
+        config, results, reference = walked
         graph = JobGraph()
-        fig9.declare(config, graph)
-        fig10.declare(config, graph)
-        return dict(Engine(**engine_kwargs).run(graph))
-
-    def test_reference_sweep_jobs2(self, tmp_path):
-        stores = tmp_path / "py", tmp_path / "vec"
-        reference = self._sweep(
-            jobs=2, trace_store=stores[0], kernel=KERNEL_PYTHON
-        )
-        vectored = self._sweep(
-            jobs=2, trace_store=stores[1], kernel=KERNEL_VECTOR
-        )
-        assert reference == vectored
-
-    def test_reference_sweep_fault_injected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "trace_corrupt:1")
-        retry = RetryPolicy(attempts=4, backoff=0.01)
-        reference = self._sweep(
-            trace_store=tmp_path / "py", retry=retry, kernel=KERNEL_PYTHON
-        )
-        vectored = self._sweep(
-            trace_store=tmp_path / "vec", retry=retry, kernel=KERNEL_VECTOR
-        )
-        assert reference == vectored
+        EXPERIMENTS[name].declare(config, graph)
+        for job in graph:
+            assert results[job] == reference[job.job_hash], job.label()

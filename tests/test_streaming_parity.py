@@ -1,10 +1,13 @@
-"""Streaming/materialized parity and the analysis lifecycle contract.
+"""The streaming contract and the analysis lifecycle.
 
-The engine's streaming path must be a pure memory optimization: every
-experiment's results are bit-identical whether jobs walk a lazy
-``TraceSource`` or a materialized ``Trace``, and the streaming path must
-never materialize at all. The incremental consumers additionally enforce
-their ``update()``/``finalize()`` lifecycle.
+Every experiment's results are bit-identical whether jobs walk traces
+generated on the fly (chunks batched from the generator) or replayed
+from a trace store (chunks decoded from the stored columns). Jobs walk
+a lazy ``TraceSource`` and must never materialize it; the incremental
+consumers enforce their ``update()``/``finalize()`` lifecycle, and the
+timing model's state stays bounded as traces grow. The chunk walk's
+parity with a per-access walk is asserted for every experiment in
+``tests/test_kernels.py``.
 """
 
 import pytest
@@ -23,6 +26,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS
 from repro.sim.timing import TimingModel
 from repro.trace.container import TraceSource
+from repro.tracestore import TraceStore
 from repro.workloads.registry import stream_workload
 
 LENGTH = 6_000
@@ -38,22 +42,33 @@ def small_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="module")
-def collected_by_mode():
-    """Every experiment collected twice: streamed and materialized.
+def collected_by_mode(tmp_path_factory):
+    """Every experiment collected twice: from generated traces and from
+    traces replayed out of a pre-recorded store.
 
     One shared graph per mode, exactly like ``all --extended``, so the
     parity claim covers the deduplicated production execution path.
     """
+    store = TraceStore(tmp_path_factory.mktemp("parity-store"))
     out = {}
-    for materialize in (False, True):
+    for mode in ("generated", "replayed"):
         cfg = small_config()
         graph = JobGraph()
         plans = {
             name: module.declare(cfg, graph)
             for name, module in EXPERIMENTS.items()
         }
-        results = Engine(materialize=materialize).run(graph)
-        out[materialize] = {
+        if mode == "generated":
+            engine = Engine()
+        else:
+            for key in {job.trace_key for job in graph}:
+                store.record(key)
+            engine = Engine(trace_store=store)
+        results = engine.run(graph)
+        if mode == "replayed":
+            assert engine.stats.generation_passes == 0
+            assert engine.stats.bytes_replayed > 0
+        out[mode] = {
             name: module.collect(cfg, plans[name], results)
             for name, module in EXPERIMENTS.items()
         }
@@ -62,7 +77,10 @@ def collected_by_mode():
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_bit_identical_across_modes(collected_by_mode, name):
-    assert collected_by_mode[False][name] == collected_by_mode[True][name]
+    generated, replayed = (
+        collected_by_mode["generated"], collected_by_mode["replayed"]
+    )
+    assert generated[name] == replayed[name]
 
 
 class TestStreamingNeverMaterializes:
@@ -83,7 +101,7 @@ class TestStreamingNeverMaterializes:
             "repetition": lambda: cfg.repetition_job("db2"),
             "correlation": lambda: cfg.correlation_job("db2"),
         }[kind]()
-        execute_job(job, materialize=False)
+        execute_job(job)
 
 
 class TestAnalysisLifecycle:

@@ -253,7 +253,7 @@ class TestSpans:
         span = AttemptSpan(job_hash="ab" * 32, label="cov:db2:stems",
                            kind="coverage", attempt=2, worker="worker-9",
                            queued=10.0, start=11.0, end=12.5, status="ok",
-                           wall_s=1.5, cpu_s=1.4, detail={"kernel": "vector"})
+                           wall_s=1.5, cpu_s=1.4, detail={"store": "hit"})
         thawed = AttemptSpan.from_dict(
             json.loads(json.dumps(span.to_dict()))
         )

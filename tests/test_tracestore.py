@@ -257,7 +257,7 @@ class TestPoolWorkerStats:
         job = SimJob.make("coverage", *KEY, system,
                           PrefetcherSpec.make("stride"))
         job_hash, result, delta = execute_job_for_pool(
-            job, materialize=False, trace_store_dir=tmp_path
+            job, trace_store_dir=tmp_path
         )
         assert job_hash == job.job_hash
         assert result == execute_job(job)
