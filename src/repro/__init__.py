@@ -48,7 +48,7 @@ from repro.sim import CoverageResult, SimulationDriver, TimingResult, simulate_t
 from repro.trace import MemoryAccess, Trace
 from repro.workloads import WORKLOAD_NAMES, make_workload
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "AddressMap",

@@ -185,12 +185,12 @@ class HierarchyReplayAnalysis(StreamingAnalysis):
         self._step(access, access.address >> self._block_bits)
 
     def _step(self, access: MemoryAccess, block: int) -> None:
-        outcome = self._hierarchy.access(block)
-        offchip = outcome.level is ServiceLevel.MEMORY
+        level, evicted, _ = self._hierarchy.access(block)
+        offchip = level is ServiceLevel.MEMORY
         agt = self._agt
         if agt is not None:
-            observed = agt.observe(access.pc, block, offchip=offchip)
-            for evicted in outcome.l1_evictions:
+            observed = agt.observe(access.pc, block, offchip)
+            if evicted is not None:
                 agt.on_l1_eviction(evicted)
         else:
             observed = None
@@ -205,6 +205,6 @@ class HierarchyReplayAnalysis(StreamingAnalysis):
             access: the trace record just replayed.
             block: its block id.
             offchip: True when the hierarchy serviced it from memory.
-            generation: the generation table's observe result, or None
-                when ``use_agt`` is False.
+            generation: the generation table's ``(is_trigger, record)``
+                observe result, or None when ``use_agt`` is False.
         """

@@ -154,8 +154,9 @@ class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
         self._window_after[block] = opened
 
         spatial = False
-        if not generation.is_trigger:
-            history = self._spatial_history.get(generation.record.index)
+        is_trigger, record = generation
+        if not is_trigger:
+            history = self._spatial_history.get(record.index)
             spatial = (
                 history is not None
                 and self._amap.offset_in_region(block) in history

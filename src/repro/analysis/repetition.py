@@ -134,7 +134,8 @@ class MissSequenceExtractor(HierarchyReplayAnalysis):
                  generation) -> None:
         if offchip and not access.is_write:
             self.misses.append(block)
-            if generation.is_trigger:
+            is_trigger, _ = generation
+            if is_trigger:
                 self.triggers.append(block)
 
     def _finalize(self) -> Tuple[List[int], List[int]]:

@@ -14,7 +14,7 @@ from repro.common.config import (
     TimingConfig,
     TMSConfig,
 )
-from repro.common.lru import LRUSet, LRUTable
+from repro.common.lru import LRUTable
 from repro.common.stats import StatGroup
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "TMSConfig",
-    "LRUSet",
     "LRUTable",
     "StatGroup",
 ]

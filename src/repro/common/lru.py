@@ -91,32 +91,3 @@ class LRUTable(Generic[K, V]):
     def clear(self) -> None:
         self._data.clear()
 
-
-class LRUSet(Generic[K]):
-    """Fixed-capacity set with LRU replacement (an LRUTable without values)."""
-
-    def __init__(self, capacity: int) -> None:
-        self._table: LRUTable[K, None] = LRUTable(capacity)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._table
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._table)
-
-    def add(self, key: K) -> Optional[K]:
-        """Add ``key``; return the evicted member if one was displaced."""
-        evicted = self._table.put(key, None)
-        return evicted[0] if evicted is not None else None
-
-    def touch(self, key: K) -> bool:
-        return self._table.touch(key)
-
-    def discard(self, key: K) -> bool:
-        return self._table.pop(key) is not None or False
-
-    def clear(self) -> None:
-        self._table.clear()

@@ -9,34 +9,18 @@ generation's blocks leaves the L1 (§2.4).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.config import CacheConfig
-
-
-@dataclass(frozen=True, slots=True)
-class CacheAccess:
-    """Outcome of one cache access."""
-
-    hit: bool
-    evicted_block: Optional[int] = None
-    #: True when the evicted block had been installed by a prefetch and
-    #: was never demand-referenced (an overprediction for L1-install SMS).
-    evicted_unused_prefetch: bool = False
-
-
-#: the two victimless outcomes, preallocated — ``fill`` runs once per
-#: L1/L2 install on the hot walk and most fills evict nothing
-_FILL_HIT = CacheAccess(hit=True)
-_FILL_NO_VICTIM = CacheAccess(hit=False)
 
 
 class Cache:
     """LRU set-associative cache keyed by block number.
 
     Each resident block carries a ``prefetched`` flag so that prefetchers
-    installing straight into the cache (SMS) can account useless fetches.
+    installing straight into the cache (SMS) can account useless fetches:
+    ``unused_prefetch_evictions`` counts the prefetched blocks evicted
+    without ever being demand-referenced.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -47,6 +31,7 @@ class Cache:
         self._sets: List["OrderedDict[int, bool]"] = [
             OrderedDict() for _ in range(self._num_sets)
         ]
+        self.unused_prefetch_evictions = 0
 
     def _set_index(self, block: int) -> int:
         return block % self._num_sets
@@ -97,24 +82,22 @@ class Cache:
         ways[block] = False
         return False
 
-    def fill(self, block: int, prefetched: bool = False) -> CacheAccess:
-        """Install ``block``; returns the victim (if any)."""
+    def fill(self, block: int, prefetched: bool = False) -> Optional[int]:
+        """Install ``block``; returns the evicted block, or None."""
         ways = self._sets[block % self._num_sets]
         if block in ways:
             ways.move_to_end(block)
             if not prefetched:
                 ways[block] = False
-            return _FILL_HIT
+            return None
         if len(ways) >= self._assoc:
-            evicted_block, evicted_unused = ways.popitem(last=False)
+            victim, victim_unused = ways.popitem(last=False)
             ways[block] = prefetched
-            return CacheAccess(
-                hit=False,
-                evicted_block=evicted_block,
-                evicted_unused_prefetch=evicted_unused,
-            )
+            if victim_unused:
+                self.unused_prefetch_evictions += 1
+            return victim
         ways[block] = prefetched
-        return _FILL_NO_VICTIM
+        return None
 
     def invalidate(self, block: int) -> bool:
         """Drop ``block`` if resident; returns whether it was present."""

@@ -9,7 +9,6 @@ generations can be terminated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.common.config import SystemConfig
@@ -26,23 +25,14 @@ class ServiceLevel(enum.Enum):
     SVB = "svb"  # assigned by the driver, never by the hierarchy itself
 
 
-@dataclass(slots=True)
-class AccessOutcome:
-    """Result of one demand access through the hierarchy."""
+#: ``Hierarchy.access`` result: (service level, block evicted from the L1
+#: or None, first demand touch of an L1-installed prefetch)
+AccessResult = Tuple[ServiceLevel, Optional[int], bool]
 
-    level: ServiceLevel
-    #: blocks evicted from L1 by this access (0 or 1 entries)
-    l1_evictions: Tuple[int, ...] = ()
-    #: an L1-installed prefetch left the L1 without ever being referenced
-    l1_unused_prefetch_evicted: bool = False
-    #: first demand touch of an L1-installed prefetched block (covered miss)
-    prefetch_hit: bool = False
-
-
-#: preallocated L1-hit outcomes — one per access on the hot walk, and an
-#: L1 hit never evicts; consumers treat outcomes as read-only
-_L1_HIT = AccessOutcome(ServiceLevel.L1)
-_L1_PREFETCH_HIT = AccessOutcome(ServiceLevel.L1, prefetch_hit=True)
+#: preallocated L1-hit results — one per access on the hot walk, and an
+#: L1 hit never evicts
+_L1_HIT: AccessResult = (ServiceLevel.L1, None, False)
+_L1_PREFETCH_HIT: AccessResult = (ServiceLevel.L1, None, True)
 
 
 class Hierarchy:
@@ -50,6 +40,8 @@ class Hierarchy:
 
     The model is non-inclusive/non-exclusive like most real hierarchies:
     fills go into both levels, and L1 evictions do not back-invalidate L2.
+    An L1-installed prefetch that leaves the L1 unreferenced is counted in
+    ``l1.unused_prefetch_evictions`` (an overprediction).
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -62,56 +54,41 @@ class Hierarchy:
         # instead of paying a method call per bump
         self._counters = self.stats._counters
 
-    def access(self, block: int) -> AccessOutcome:
-        """Demand access to ``block``; fills on miss; classifies the level."""
+    def access(self, block: int) -> AccessResult:
+        """Demand access to ``block``; fills on miss; classifies the level.
+
+        Returns ``(level, evicted, prefetch_hit)``: where the access was
+        serviced, the block the fill evicted from the L1 (or None), and
+        whether this was the first demand touch of a prefetched block.
+        """
         counters = self._counters
         counters["accesses"] += 1
         hit, prefetch_hit = self.l1.demand_lookup(block)
         if hit:
             counters["l1_hits"] += 1
             return _L1_PREFETCH_HIT if prefetch_hit else _L1_HIT
-
-        outcome_level = ServiceLevel.L2
         if self.l2.probe_fill(block):
             counters["l2_hits"] += 1
-        else:
-            counters["offchip_misses"] += 1
-            outcome_level = ServiceLevel.MEMORY
+            return ServiceLevel.L2, self.l1.fill(block), False
+        counters["offchip_misses"] += 1
+        return ServiceLevel.MEMORY, self.l1.fill(block), False
 
-        fill = self.l1.fill(block)
-        evicted = fill.evicted_block
-        return AccessOutcome(
-            outcome_level,
-            l1_evictions=() if evicted is None else (evicted,),
-            l1_unused_prefetch_evicted=fill.evicted_unused_prefetch,
-        )
-
-    def fill_from_svb(self, block: int) -> AccessOutcome:
-        """Move a consumed SVB block into the hierarchy (L1 + L2)."""
+    def fill_from_svb(self, block: int) -> Optional[int]:
+        """Move a consumed SVB block into the hierarchy (L1 + L2); returns
+        the block evicted from the L1, or None."""
         self.l2.fill(block)
-        fill = self.l1.fill(block)
-        evicted = fill.evicted_block
-        return AccessOutcome(
-            ServiceLevel.SVB,
-            l1_evictions=() if evicted is None else (evicted,),
-            l1_unused_prefetch_evicted=fill.evicted_unused_prefetch,
-        )
+        return self.l1.fill(block)
 
-    def install_prefetch(self, block: int) -> AccessOutcome:
-        """Install an L1-targeted prefetch (the standalone-SMS design).
+    def install_prefetch(self, block: int) -> Optional[int]:
+        """Install an L1-targeted prefetch (the standalone-SMS design);
+        returns the block evicted from the L1, or None.
 
         The fetched data passes through L2 as on a real fill; the
         prefetched flag lives in L1 only, so the unused-eviction
         overprediction accounting stays unambiguous.
         """
         self.l2.fill(block)
-        fill = self.l1.fill(block, prefetched=True)
-        evicted = fill.evicted_block
-        return AccessOutcome(
-            ServiceLevel.L1,
-            l1_evictions=() if evicted is None else (evicted,),
-            l1_unused_prefetch_evicted=fill.evicted_unused_prefetch,
-        )
+        return self.l1.fill(block, True)
 
     def present(self, block: int) -> Optional[ServiceLevel]:
         """Which level currently holds ``block`` (no state change)."""

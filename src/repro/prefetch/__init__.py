@@ -1,6 +1,6 @@
 """Prefetchers: the stride baseline, TMS, SMS, the naive hybrid and STeMS."""
 
-from repro.prefetch.base import AccessEvent, Prefetcher, PrefetchRequest
+from repro.prefetch.base import AccessEvent, Prefetcher
 from repro.prefetch.composite import CompositePrefetcher
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.prefetch.hybrid import NaiveHybridPrefetcher
@@ -13,7 +13,6 @@ from repro.prefetch.tms.tms import TMSPrefetcher
 __all__ = [
     "AccessEvent",
     "Prefetcher",
-    "PrefetchRequest",
     "CompositePrefetcher",
     "GHBPrefetcher",
     "MarkovPrefetcher",

@@ -4,14 +4,16 @@ The coverage driver (:mod:`repro.sim.driver`) feeds every demand access to
 the prefetcher as an :class:`AccessEvent` — including where it was serviced
 (L1, L2, off-chip memory, or the SVB) — forwards L1 evictions (spatial
 generations end on eviction, §2.4), and collects prefetch requests after
-each access.
+each access. A request is a plain ``(block, stream_id, target)`` tuple:
+``stream_id`` is -1 outside stream-based prefetchers, and a ``target`` of
+None means the prefetcher's default ``install_target``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.memsys.hierarchy import ServiceLevel
 from repro.trace.events import MemoryAccess
@@ -26,8 +28,9 @@ TARGET_L1 = "l1"
 class AccessEvent:
     """One demand access as seen by a prefetcher.
 
-    Constructed once per access per attached prefetcher on the hot walk;
-    treated as read-only by every consumer.
+    A walk builds one event and overwrites its fields for every access, so
+    an event is valid only during the ``on_access`` call that receives it:
+    consumers read it there and never keep a reference.
     """
 
     access: MemoryAccess
@@ -53,14 +56,8 @@ class AccessEvent:
         )
 
 
-@dataclass(frozen=True)
-class PrefetchRequest:
-    """A block the prefetcher wants fetched."""
-
-    block: int
-    stream_id: int = -1
-    #: None means "use the prefetcher's default install target"
-    target: Optional[str] = None
+#: one prefetch request: (block, stream id, install target or None)
+Request = Tuple[int, int, Optional[str]]
 
 
 class Prefetcher(abc.ABC):
@@ -71,7 +68,7 @@ class Prefetcher(abc.ABC):
     name: str = "prefetcher"
 
     def __init__(self) -> None:
-        self._pending: List[PrefetchRequest] = []
+        self._pending: List[Request] = []
 
     @abc.abstractmethod
     def on_access(self, event: AccessEvent) -> None:
@@ -84,12 +81,16 @@ class Prefetcher(abc.ABC):
         """A streamed block left the SVB unused (keeps in-flight counts
         honest so streams are not throttled by stale fetches)."""
 
-    def pop_requests(self) -> List[PrefetchRequest]:
-        """Drain the prefetch requests produced by recent events."""
-        out, self._pending = self._pending, []
-        return out
+    def pop_requests(self) -> Sequence[Request]:
+        """Drain the prefetch requests produced by recent events (an empty
+        tuple when there are none — most accesses request nothing)."""
+        pending = self._pending
+        if not pending:
+            return ()
+        self._pending = []
+        return pending
 
     def _request(
         self, block: int, stream_id: int = -1, target: Optional[str] = None
     ) -> None:
-        self._pending.append(PrefetchRequest(block, stream_id, target))
+        self._pending.append((block, stream_id, target))

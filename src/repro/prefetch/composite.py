@@ -8,10 +8,10 @@ which is what the Fig. 10 performance comparison requires.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
 
 from repro.common.config import StrideConfig
-from repro.prefetch.base import TARGET_L1, AccessEvent, Prefetcher, PrefetchRequest
+from repro.prefetch.base import AccessEvent, Prefetcher, Request
 from repro.prefetch.stride import StridePrefetcher
 
 
@@ -39,15 +39,17 @@ class CompositePrefetcher(Prefetcher):
     def on_svb_discard(self, block: int, stream_id: int) -> None:
         self.main.on_svb_discard(block, stream_id)
 
-    def pop_requests(self) -> List[PrefetchRequest]:
-        out = [
-            PrefetchRequest(r.block, -1, TARGET_L1)
-            for r in self.stride.pop_requests()
-        ]
-        for request in self.main.pop_requests():
-            target = request.target or self.main.install_target
-            out.append(PrefetchRequest(request.block, request.stream_id, target))
-        return out
+    def pop_requests(self) -> Sequence[Request]:
+        # stride requests name their L1 target; the main engine's default
+        # target is this wrapper's ``install_target``, so both lists pass
+        # through unchanged, stride requests first
+        stride = self.stride.pop_requests()
+        main = self.main.pop_requests()
+        if not stride:
+            return main
+        if not main:
+            return stride
+        return [*stride, *main]
 
     def finish(self) -> None:
         if hasattr(self.main, "finish"):

@@ -9,15 +9,11 @@ standalone; TMS requests target the SVB, SMS requests target the L1.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.common.addresses import AddressMap, DEFAULT_ADDRESS_MAP
 from repro.common.config import SMSConfig, TMSConfig
-from repro.prefetch.base import (
-    TARGET_L1,
-    TARGET_SVB,
-    AccessEvent,
-    Prefetcher,
-    PrefetchRequest,
-)
+from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher, Request
 from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
 
@@ -48,15 +44,16 @@ class NaiveHybridPrefetcher(Prefetcher):
     def on_svb_discard(self, block: int, stream_id: int) -> None:
         self.tms.on_svb_discard(block, stream_id)
 
-    def pop_requests(self) -> "list[PrefetchRequest]":
-        out = []
-        for request in self.tms.pop_requests():
-            out.append(
-                PrefetchRequest(request.block, request.stream_id, TARGET_SVB)
-            )
-        for request in self.sms.pop_requests():
-            out.append(PrefetchRequest(request.block, -1, TARGET_L1))
-        return out
+    def pop_requests(self) -> Sequence[Request]:
+        # both constituents name their targets (TMS the SVB, SMS the L1),
+        # so their requests pass through unchanged, TMS's first
+        tms = self.tms.pop_requests()
+        sms = self.sms.pop_requests()
+        if not tms:
+            return sms
+        if not sms:
+            return tms
+        return [*tms, *sms]
 
     def finish(self) -> None:
         self.sms.finish()

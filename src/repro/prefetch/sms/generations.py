@@ -33,7 +33,7 @@ class SequenceElement:
     offchip: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationRecord:
     """State of one active spatial generation."""
 
@@ -53,15 +53,6 @@ class GenerationRecord:
     def accessed_offsets(self) -> Set[int]:
         """All offsets touched this generation, including the trigger."""
         return set(self.touched)
-
-
-@dataclass(slots=True)
-class ObserveResult:
-    """What the AGT saw for one access (one instance per observed access;
-    consumers treat it as read-only)."""
-
-    is_trigger: bool
-    record: GenerationRecord
 
 
 class ActiveGenerationTable:
@@ -99,8 +90,9 @@ class ActiveGenerationTable:
 
     def observe(
         self, pc: int, block: int, offchip: bool, global_miss_count: int = 0
-    ) -> ObserveResult:
-        """Record one L1 access; returns whether it was a trigger.
+    ) -> Tuple[bool, GenerationRecord]:
+        """Record one L1 access; returns ``(is_trigger, record)``, where
+        ``record`` is the generation the access belongs to.
 
         ``global_miss_count`` is the number of off-chip read events seen
         *before* this access. Deltas count misses strictly between
@@ -114,23 +106,17 @@ class ActiveGenerationTable:
         bump = 1 if offchip else 0
         if record is None:
             record = GenerationRecord(
-                region=region,
-                trigger_pc=pc,
-                trigger_offset=offset,
-                touched={offset},
-                last_miss_count=global_miss_count + bump,
+                region, pc, offset, [], {offset}, global_miss_count + bump
             )
             self._table.put(region, record)
             self.generations_started += 1
-            return ObserveResult(is_trigger=True, record=record)
+            return True, record
         if offset not in record.touched:
             record.touched.add(offset)
             delta = max(0, global_miss_count - record.last_miss_count)
-            record.elements.append(
-                SequenceElement(offset=offset, delta=delta, offchip=offchip)
-            )
+            record.elements.append(SequenceElement(offset, delta, offchip))
             record.last_miss_count = global_miss_count + bump
-        return ObserveResult(is_trigger=False, record=record)
+        return False, record
 
     def on_l1_eviction(self, block: int) -> None:
         """End the generation owning ``block`` if it touched that block."""

@@ -41,12 +41,11 @@ class SMSPrefetcher(Prefetcher):
 
     def on_access(self, event: AccessEvent) -> None:
         """Observe every L1 access; predict on triggers."""
-        result = self.agt.observe(
-            event.access.pc, event.block, offchip=event.offchip
+        is_trigger, record = self.agt.observe(
+            event.access.pc, event.block, event.offchip
         )
-        if not result.is_trigger:
+        if not is_trigger:
             return
-        record = result.record
         predicted = self.pht.predict(record.index)
         if not predicted:
             return

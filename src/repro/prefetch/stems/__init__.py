@@ -12,13 +12,12 @@ Components:
   with stream queues, SVB throttling and spatial-only streams.
 """
 
-from repro.prefetch.stems.pst import PatternSequenceTable, SequenceStep
+from repro.prefetch.stems.pst import PatternSequenceTable
 from repro.prefetch.stems.reconstruction import ReconstructionResult, Reconstructor
 from repro.prefetch.stems.stems import STeMSPrefetcher
 
 __all__ = [
     "PatternSequenceTable",
-    "SequenceStep",
     "ReconstructionResult",
     "Reconstructor",
     "STeMSPrefetcher",

@@ -11,19 +11,11 @@ whose counters reach the threshold are predicted, in stored order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.common.config import STeMSConfig
 from repro.common.lru import LRUTable
 from repro.prefetch.sms.generations import SequenceElement, SpatialIndex
-
-
-@dataclass(frozen=True)
-class SequenceStep:
-    """One predicted element of a spatial sequence."""
-
-    offset: int
-    delta: int
 
 
 @dataclass
@@ -98,8 +90,9 @@ class PatternSequenceTable:
                 if entry[offset].counter <= 0:
                     del entry[offset]
 
-    def predict(self, index: SpatialIndex) -> List[SequenceStep]:
-        """Predicted sequence for ``index``, in stored order."""
+    def predict(self, index: SpatialIndex) -> List[Tuple[int, int]]:
+        """Predicted sequence for ``index`` as ``(offset, delta)`` pairs,
+        in stored order."""
         entry = self._table.get(index)
         if entry is None:
             return []
@@ -110,14 +103,14 @@ class PatternSequenceTable:
             if state.counter >= threshold
         ]
         chosen.sort()
-        return [SequenceStep(offset=o, delta=d) for _, o, d in chosen]
+        return [(o, d) for _, o, d in chosen]
 
     def predict_offsets(self, index: SpatialIndex) -> Set[int]:
         """Predicted offsets only (used for the RMOB filtering decision).
 
         Runs once per off-chip read event, so it skips :meth:`predict`'s
-        ordering and :class:`SequenceStep` construction — the set of
-        offsets meeting the threshold is the same either way.
+        ordering and pair construction — the set of offsets meeting the
+        threshold is the same either way.
         """
         entry = self._table.get(index)
         if entry is None:

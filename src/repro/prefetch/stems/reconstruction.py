@@ -20,12 +20,11 @@ sequence. Figure 5's worked example is reproduced verbatim in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.addresses import AddressMap
 from repro.prefetch.sms.generations import SpatialIndex
 from repro.prefetch.stems.pst import PatternSequenceTable
-from repro.prefetch.tms.cmob import MissEntry
 
 
 @dataclass
@@ -58,11 +57,13 @@ class Reconstructor:
 
     def reconstruct(
         self,
-        entries: Sequence[MissEntry],
+        entries: Sequence[Tuple[int, int, int]],
         include_first: bool = True,
         on_region: Optional[Callable[[int, SpatialIndex], None]] = None,
     ) -> ReconstructionResult:
-        """Rebuild the predicted total miss order for ``entries``.
+        """Rebuild the predicted total miss order for ``entries``, RMOB
+        ``(block, pc, delta)`` entries (or
+        :class:`~repro.prefetch.tms.cmob.MissEntry` values).
 
         ``include_first=False`` omits the first entry's own block from the
         output (used when that block is the demand miss that started the
@@ -75,17 +76,17 @@ class Reconstructor:
         # phase 1: temporal skeleton — place the RMOB entries themselves
         entry_slots: List[Optional[int]] = []
         cursor = -1
-        for i, entry in enumerate(entries):
-            cursor = cursor + entry.delta + 1 if i else 0
-            placed = self._place(slots, cursor, entry.block, result)
+        for i, (block, _, delta) in enumerate(entries):
+            cursor = cursor + delta + 1 if i else 0
+            placed = self._place(slots, cursor, block, result)
             entry_slots.append(placed)
 
         # phase 2: spatial expansion — interleave each entry's sequence
-        for entry, anchor in zip(entries, entry_slots):
+        for (entry_block, pc, _), anchor in zip(entries, entry_slots):
             if anchor is None:
                 continue
-            region = amap.region_of_block(entry.block)
-            index = (entry.pc, amap.offset_in_region(entry.block))
+            region = amap.region_of_block(entry_block)
+            index = (pc, amap.offset_in_region(entry_block))
             sequence = self.pst.predict(index)
             if not sequence:
                 continue
@@ -93,16 +94,16 @@ class Reconstructor:
             if on_region is not None:
                 on_region(region, index)
             position = anchor
-            for step in sequence:
-                position = position + step.delta + 1
+            for offset, delta in sequence:
+                position = position + delta + 1
                 if position >= self.buffer_size:
                     result.dropped += 1
                     continue
-                block = amap.block_in_region(region, step.offset)
+                block = amap.block_in_region(region, offset)
                 self._place(slots, position, block, result)
 
         # phase 3: emit in slot order, de-duplicated
-        skip_block = entries[0].block if (entries and not include_first) else None
+        skip_block = entries[0][0] if (entries and not include_first) else None
         seen = set()
         for block in slots:
             if block is None or block in seen:

@@ -125,22 +125,21 @@ class STeMSPrefetcher(Prefetcher):
                     self._allocate_reconstructed_stream(position)
 
         # 3. spatial training: AGT observes every access
-        result = self.agt.observe(
-            pc, block, offchip=offchip_event, global_miss_count=self._miss_count
+        is_trigger, record = self.agt.observe(
+            pc, block, offchip_event, self._miss_count
         )
-        record = result.record
 
         # 4. spatial-only stream on unpredicted generation begins
-        if result.is_trigger and offchip_event:
+        if is_trigger and offchip_event:
             self._maybe_spatial_only_stream(record)
 
         # 5. temporal training: RMOB append or skip
         if offchip_event:
             spatially_predicted = False
-            if not result.is_trigger:
+            if not is_trigger:
                 offset = block & self._offset_mask
                 spatially_predicted = offset in self.pst.predict_offsets(record.index)
-            if result.is_trigger or not spatially_predicted:
+            if is_trigger or not spatially_predicted:
                 self.rmob.append(block, pc=pc, delta=self._skipped)
                 self._skipped = 0
                 self._counters["rmob_appends"] += 1
@@ -221,9 +220,9 @@ class STeMSPrefetcher(Prefetcher):
         if not sequence:
             return
         blocks = [
-            self.address_map.block_in_region(record.region, step.offset)
-            for step in sequence
-            if step.offset != record.trigger_offset
+            self.address_map.block_in_region(record.region, offset)
+            for offset, _ in sequence
+            if offset != record.trigger_offset
         ]
         if not blocks:
             return

@@ -12,13 +12,15 @@ while it has not been overwritten, i.e. while ``position > head - capacity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class MissEntry:
-    """One recorded miss. TMS ignores ``pc``/``delta``; STeMS uses both."""
+class MissEntry(NamedTuple):
+    """One recorded miss. TMS ignores ``pc``/``delta``; STeMS uses both.
+
+    The buffer stores and returns plain ``(block, pc, delta)`` tuples;
+    this named form is the same shape, for building entries by name.
+    """
 
     block: int
     pc: int = 0
@@ -26,13 +28,14 @@ class MissEntry:
 
 
 class CircularMissBuffer:
-    """Fixed-capacity circular buffer of MissEntry with an address index."""
+    """Fixed-capacity circular buffer of ``(block, pc, delta)`` entries
+    with an address index."""
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ring: List[Optional[MissEntry]] = [None] * capacity
+        self._ring: List[Optional[Tuple[int, int, int]]] = [None] * capacity
         self._index: Dict[int, int] = {}  # block -> most recent absolute pos
         self._head = 0  # absolute position of the next append
         self.appends = 0
@@ -51,10 +54,11 @@ class CircularMissBuffer:
         overwritten = self._ring[slot]
         if overwritten is not None:
             # drop the index mapping only if it still points at this slot
-            stale = self._index.get(overwritten.block)
+            old_block = overwritten[0]
+            stale = self._index.get(old_block)
             if stale is not None and stale % self.capacity == slot and stale != pos:
-                del self._index[overwritten.block]
-        self._ring[slot] = MissEntry(block=block, pc=pc, delta=delta)
+                del self._index[old_block]
+        self._ring[slot] = (block, pc, delta)
         self._index[block] = pos
         self._head = pos + 1
         self.appends += 1
@@ -67,15 +71,15 @@ class CircularMissBuffer:
             return None
         return pos
 
-    def get(self, pos: int) -> Optional[MissEntry]:
+    def get(self, pos: int) -> Optional[Tuple[int, int, int]]:
         """Entry at absolute position ``pos`` if still resident."""
         if not self._valid(pos):
             return None
         return self._ring[pos % self.capacity]
 
-    def read_from(self, pos: int, count: int) -> List[MissEntry]:
+    def read_from(self, pos: int, count: int) -> List[Tuple[int, int, int]]:
         """Up to ``count`` consecutive entries starting at ``pos``."""
-        out: List[MissEntry] = []
+        out: List[Tuple[int, int, int]] = []
         for p in range(pos, min(pos + count, self._head)):
             entry = self.get(p)
             if entry is None:

@@ -87,4 +87,4 @@ class TMSPrefetcher(Prefetcher):
         cursor: _TMSCursor = queue.cursor
         entries = self.cmob.read_from(cursor.position, self.REFILL_BATCH)
         cursor.position += len(entries)
-        return [entry.block for entry in entries]
+        return [block for block, _, _ in entries]

@@ -134,24 +134,10 @@ class SimulationDriver:
         service = [] if self.record_service else None
 
         # -- hoisted bindings for the hot loop --------------------------------
-        svb_contains = svb.__contains__
-        svb_consume = svb.consume
-        svb_insert = svb.insert
         hier_access = hierarchy.access
-        hier_fill_from_svb = hierarchy.fill_from_svb
-        hier_present = hierarchy.present
-        hier_install = hierarchy.install_prefetch
         service_append = service.append if service is not None else None
         consumer = self.service_consumer
         consumer_update = consumer.update if consumer is not None else None
-        on_access = prefetcher.on_access if prefetcher is not None else None
-        pop_requests = prefetcher.pop_requests if prefetcher is not None else None
-        on_l1_eviction = (
-            prefetcher.on_l1_eviction if prefetcher is not None else None
-        )
-        install_target = (
-            prefetcher.install_target if prefetcher is not None else None
-        )
         level_l1 = ServiceLevel.L1
         level_l2 = ServiceLevel.L2
         level_svb = ServiceLevel.SVB
@@ -159,93 +145,13 @@ class SimulationDriver:
         accesses = reads = writes = 0
         covered_count = uncovered_count = 0
         l1_hits = l2_hits = issued_prefetches = 0
-        overpredictions_local = 0
-
-        def step(access: MemoryAccess, block: int) -> None:
-            nonlocal accesses, reads, writes, covered_count, uncovered_count
-            nonlocal l1_hits, l2_hits, issued_prefetches, overpredictions_local
-
-            is_read = not access.is_write
-            accesses += 1
-            if is_read:
-                reads += 1
-            else:
-                writes += 1
-
-            covered = False
-            stream_id = -1
-            if svb_contains(block):
-                consumed = svb_consume(block)
-                stream_id = consumed if consumed is not None else -1
-                outcome = hier_fill_from_svb(block)
-                level = level_svb
-                covered = True
-                if is_read:
-                    covered_count += 1
-                klass = SERVICE_SVB
-            else:
-                outcome = hier_access(block)
-                level = outcome.level
-                if outcome.prefetch_hit:
-                    covered = True
-                    if is_read:
-                        covered_count += 1
-                    klass = SERVICE_PREFETCHED_L1
-                elif level is level_l1:
-                    l1_hits += 1
-                    klass = SERVICE_L1
-                elif level is level_l2:
-                    l2_hits += 1
-                    klass = SERVICE_L2
-                else:
-                    if is_read:
-                        uncovered_count += 1
-                    klass = SERVICE_MEMORY
-            if service_append is not None:
-                service_append(klass)
-            if consumer_update is not None:
-                consumer_update(access, klass)
-
-            if outcome.l1_unused_prefetch_evicted:
-                overpredictions_local += 1
-
-            if prefetcher is None:
-                return
-
-            for evicted in outcome.l1_evictions:
-                on_l1_eviction(evicted)
-            on_access(
-                AccessEvent(
-                    access=access,
-                    block=block,
-                    level=level,
-                    covered=covered,
-                    stream_id=stream_id,
-                )
-            )
-            for request in pop_requests():
-                target = request.target or install_target
-                pf_block = request.block
-                if svb_contains(pf_block) or hier_present(pf_block) is not None:
-                    continue  # already on chip: no off-chip fetch needed
-                issued_prefetches += 1
-                if target == TARGET_SVB:
-                    svb_insert(pf_block, request.stream_id)
-                elif target == TARGET_L1:
-                    outcome2 = hier_install(pf_block)
-                    if outcome2.l1_unused_prefetch_evicted:
-                        overpredictions_local += 1
-                    for evicted in outcome2.l1_evictions:
-                        on_l1_eviction(evicted)
-                else:
-                    raise ValueError(f"unknown prefetch target {target!r}")
 
         if prefetcher is None:
             # baseline specialization: with no prefetcher the SVB stays
             # empty and no block is ever marked prefetched, so the SVB
             # probe, coverage branches and prefetch drain are dead code —
             # same counters, same service classes, same outcomes
-            def step(access: MemoryAccess, block: int) -> None:  # noqa: F811
+            def step(access: MemoryAccess, block: int) -> None:
                 nonlocal accesses, reads, writes, uncovered_count
                 nonlocal l1_hits, l2_hits
 
@@ -257,7 +163,7 @@ class SimulationDriver:
                     reads += 1
                     is_read = True
 
-                level = hier_access(block).level
+                level = hier_access(block)[0]
                 if level is level_l1:
                     l1_hits += 1
                     klass = SERVICE_L1
@@ -273,6 +179,85 @@ class SimulationDriver:
                 if consumer_update is not None:
                     consumer_update(access, klass)
 
+        else:
+            svb_contains = svb.__contains__
+            svb_consume = svb.consume
+            svb_insert = svb.insert
+            hier_fill_from_svb = hierarchy.fill_from_svb
+            hier_present = hierarchy.present
+            hier_install = hierarchy.install_prefetch
+            on_access = prefetcher.on_access
+            pop_requests = prefetcher.pop_requests
+            on_l1_eviction = prefetcher.on_l1_eviction
+            install_target = prefetcher.install_target
+            # the walk's one event, overwritten for every access (an
+            # event is valid only during the on_access call)
+            event = AccessEvent(None, -1, level_l1)
+
+            def step(access: MemoryAccess, block: int) -> None:
+                nonlocal accesses, reads, writes, covered_count
+                nonlocal uncovered_count, l1_hits, l2_hits, issued_prefetches
+
+                is_read = not access.is_write
+                accesses += 1
+                if is_read:
+                    reads += 1
+                else:
+                    writes += 1
+
+                if svb_contains(block):
+                    consumed = svb_consume(block)
+                    stream_id = consumed if consumed is not None else -1
+                    evicted = hier_fill_from_svb(block)
+                    level = level_svb
+                    covered = True
+                    if is_read:
+                        covered_count += 1
+                    klass = SERVICE_SVB
+                else:
+                    level, evicted, covered = hier_access(block)
+                    stream_id = -1
+                    if covered:
+                        if is_read:
+                            covered_count += 1
+                        klass = SERVICE_PREFETCHED_L1
+                    elif level is level_l1:
+                        l1_hits += 1
+                        klass = SERVICE_L1
+                    elif level is level_l2:
+                        l2_hits += 1
+                        klass = SERVICE_L2
+                    else:
+                        if is_read:
+                            uncovered_count += 1
+                        klass = SERVICE_MEMORY
+                if service_append is not None:
+                    service_append(klass)
+                if consumer_update is not None:
+                    consumer_update(access, klass)
+
+                if evicted is not None:
+                    on_l1_eviction(evicted)
+                event.access = access
+                event.block = block
+                event.level = level
+                event.covered = covered
+                event.stream_id = stream_id
+                on_access(event)
+                for pf_block, pf_stream, target in pop_requests():
+                    if svb_contains(pf_block) or hier_present(pf_block) is not None:
+                        continue  # already on chip: no off-chip fetch needed
+                    issued_prefetches += 1
+                    target = target or install_target
+                    if target == TARGET_SVB:
+                        svb_insert(pf_block, pf_stream)
+                    elif target == TARGET_L1:
+                        evicted = hier_install(pf_block)
+                        if evicted is not None:
+                            on_l1_eviction(evicted)
+                    else:
+                        raise ValueError(f"unknown prefetch target {target!r}")
+
         def finish() -> CoverageResult:
             result.accesses = accesses
             result.reads = reads
@@ -282,13 +267,15 @@ class SimulationDriver:
             result.l1_hits = l1_hits
             result.l2_hits = l2_hits
             result.issued_prefetches = issued_prefetches
-            result.overpredictions += overpredictions_local
+            # L1-installed prefetches evicted unreferenced during the walk
+            result.overpredictions += hierarchy.l1.unused_prefetch_evictions
 
             # end of walk: whatever was fetched but never used is erroneous
             svb.drain_unused()
             result.overpredictions += hierarchy.l1.unused_prefetch_count()
-            if prefetcher is not None and hasattr(prefetcher, "finish"):
-                prefetcher.finish()
+            if prefetcher is not None:
+                if hasattr(prefetcher, "finish"):
+                    prefetcher.finish()
                 if hasattr(prefetcher, "stats"):
                     result.prefetcher_stats = prefetcher.stats.to_dict()
             result.service = service

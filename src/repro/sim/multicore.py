@@ -103,6 +103,9 @@ class MulticoreDriver:
         #: simplified directory: block -> cores that may hold a copy
         sharers: Dict[int, Set[int]] = defaultdict(set)
         result = MulticoreResult(per_core=[c.result for c in cores])
+        # the run's one event, overwritten for every access (an event is
+        # valid only during the on_access call)
+        event = AccessEvent(None, -1, ServiceLevel.L1)
 
         live = True
         while live:
@@ -114,8 +117,11 @@ class MulticoreDriver:
                 access = trace[core.cursor]
                 core.cursor += 1
                 block = amap.block_of(access.address)
-                self._step(core, access, block, sharers, result, cores)
+                self._step(core, access, block, sharers, result, cores, event)
         for core in cores:
+            core.result.overpredictions += (
+                core.hierarchy.l1.unused_prefetch_evictions
+            )
             core.svb.drain_unused()
             core.result.overpredictions += core.hierarchy.l1.unused_prefetch_count()
             if core.prefetcher is not None and hasattr(core.prefetcher, "finish"):
@@ -124,7 +130,7 @@ class MulticoreDriver:
 
     # -- one access on one core ---------------------------------------------------
 
-    def _step(self, core, access, block, sharers, result, cores) -> None:
+    def _step(self, core, access, block, sharers, result, cores, event) -> None:
         is_read = not access.is_write
         core.result.accesses += 1
         if is_read:
@@ -137,15 +143,14 @@ class MulticoreDriver:
         if block in core.svb:
             consumed = core.svb.consume(block)
             stream_id = consumed if consumed is not None else -1
-            outcome = core.hierarchy.fill_from_svb(block)
+            evicted = core.hierarchy.fill_from_svb(block)
             level = ServiceLevel.SVB
             covered = True
             if is_read:
                 core.result.covered += 1
         else:
-            outcome = core.hierarchy.access(block)
-            level = outcome.level
-            if outcome.prefetch_hit:
+            level, evicted, prefetch_hit = core.hierarchy.access(block)
+            if prefetch_hit:
                 covered = True
                 if is_read:
                     core.result.covered += 1
@@ -175,33 +180,28 @@ class MulticoreDriver:
                 result.invalidations += 1
             sharers[block] = {core.core_id}
 
-        if core.prefetcher is None:
-            self._forward_evictions(core, outcome)
+        prefetcher = core.prefetcher
+        if prefetcher is None:
             return
-        self._forward_evictions(core, outcome)
-        core.prefetcher.on_access(
-            AccessEvent(access=access, block=block, level=level,
-                        covered=covered, stream_id=stream_id)
-        )
-        for request in core.prefetcher.pop_requests():
-            target = request.target or core.prefetcher.install_target
-            pf_block = request.block
+        if evicted is not None:
+            prefetcher.on_l1_eviction(evicted)
+        event.access = access
+        event.block = block
+        event.level = level
+        event.covered = covered
+        event.stream_id = stream_id
+        prefetcher.on_access(event)
+        for pf_block, pf_stream, target in prefetcher.pop_requests():
+            target = target or prefetcher.install_target
             if pf_block in core.svb or core.hierarchy.present(pf_block) is not None:
                 continue
             core.result.issued_prefetches += 1
             sharers[pf_block].add(core.core_id)
             if target == TARGET_SVB:
-                core.svb.insert(pf_block, request.stream_id)
+                core.svb.insert(pf_block, pf_stream)
             elif target == TARGET_L1:
-                outcome = core.hierarchy.install_prefetch(pf_block)
-                self._forward_evictions(core, outcome)
+                evicted = core.hierarchy.install_prefetch(pf_block)
+                if evicted is not None:
+                    prefetcher.on_l1_eviction(evicted)
             else:
                 raise ValueError(f"unknown prefetch target {target!r}")
-
-    @staticmethod
-    def _forward_evictions(core, outcome) -> None:
-        if outcome.l1_unused_prefetch_evicted:
-            core.result.overpredictions += 1
-        if core.prefetcher is not None:
-            for block in outcome.l1_evictions:
-                core.prefetcher.on_l1_eviction(block)

@@ -22,24 +22,21 @@ class TestBasics:
         cache = small_cache(assoc=2, blocks=2)  # one set, two ways
         cache.fill(0)
         cache.fill(1)
-        outcome = cache.fill(2)
-        assert outcome.evicted_block == 0
+        assert cache.fill(2) == 0
 
     def test_lru_within_set(self):
         cache = small_cache(assoc=2, blocks=2)
         cache.fill(0)
         cache.fill(1)
         cache.lookup(0)  # refresh 0; victim becomes 1
-        outcome = cache.fill(2)
-        assert outcome.evicted_block == 1
+        assert cache.fill(2) == 1
 
     def test_set_mapping_isolation(self):
         cache = small_cache(assoc=1, blocks=4)  # 4 sets, direct-mapped
         cache.fill(0)
         cache.fill(1)
         assert cache.lookup(0) and cache.lookup(1)
-        outcome = cache.fill(4)  # maps to set 0
-        assert outcome.evicted_block == 0
+        assert cache.fill(4) == 0  # maps to set 0
 
     def test_invalidate(self):
         cache = small_cache()
@@ -67,16 +64,20 @@ class TestPrefetchedFlag:
     def test_unused_prefetch_eviction_flagged(self):
         cache = small_cache(assoc=1, blocks=1)
         cache.fill(0, prefetched=True)
-        outcome = cache.fill(1)
-        assert outcome.evicted_block == 0
-        assert outcome.evicted_unused_prefetch
+        assert cache.fill(1) == 0
+        assert cache.unused_prefetch_evictions == 1
 
     def test_used_prefetch_eviction_not_flagged(self):
         cache = small_cache(assoc=1, blocks=1)
         cache.fill(0, prefetched=True)
         cache.demand_lookup(0)
-        outcome = cache.fill(1)
-        assert not outcome.evicted_unused_prefetch
+        assert cache.fill(1) == 0
+        assert cache.unused_prefetch_evictions == 0
+
+    def test_fill_without_victim_returns_none(self):
+        cache = small_cache(assoc=2, blocks=2)
+        assert cache.fill(0) is None
+        assert cache.fill(0) is None  # refill of a resident block
 
     def test_unused_prefetch_count(self):
         cache = small_cache()

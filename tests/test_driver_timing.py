@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.common.addresses import DEFAULT_ADDRESS_MAP
 from repro.common.config import SystemConfig, TimingConfig
-from repro.prefetch.base import Prefetcher, PrefetchRequest, TARGET_L1, TARGET_SVB
+from repro.prefetch.base import Prefetcher, TARGET_L1, TARGET_SVB
 from repro.prefetch.stems.stems import STeMSPrefetcher
 from repro.prefetch.stride import StridePrefetcher
+from repro.prefetch.tms.tms import TMSPrefetcher
 from repro.sim.driver import SimulationDriver
 from repro.sim.results import (
     SERVICE_L1,
@@ -84,6 +85,25 @@ class TestDriverAccounting:
         trace = simple_trace([1, 50])
         result = SimulationDriver(tiny_system, pf).run(trace)
         assert result.covered == 1
+
+    def test_evicted_unused_l1_install_is_overprediction(self, tiny_system):
+        pf = _ScriptedPrefetcher(fire_at=1, requests=[50], target=TARGET_L1)
+        # 128 blocks through the 64-block L1 evict the prefetch unused
+        trace = simple_trace([1] + list(range(100, 228)))
+        result = SimulationDriver(tiny_system, pf).run(trace)
+        assert result.covered == 0
+        assert result.issued_prefetches == 1
+        assert result.overpredictions == 1
+
+    def test_prefetcher_stats_reported_without_finish(self, tiny_system):
+        # TMS has no finish(); its counters still reach the result. The
+        # second pass over 1000 blocks (> L2) recurs off chip and streams.
+        trace = simple_trace(list(range(0, 3000, 3)) * 2)
+        result = SimulationDriver(tiny_system, TMSPrefetcher()).run(trace)
+        assert result.covered > 0
+        assert result.prefetcher_stats["streams_allocated"] >= 1
+        stride = SimulationDriver(tiny_system, StridePrefetcher()).run(trace)
+        assert stride.prefetcher_stats["predictions"] > 0
 
     def test_prefetch_of_resident_block_dropped(self, tiny_system):
         pf = _ScriptedPrefetcher(fire_at=2, requests=[1])

@@ -23,13 +23,13 @@ class TestGHB:
         for i, b in enumerate([1, 2, 3, 4]):
             miss(pf, i, b)
         miss(pf, 10, 1)
-        assert [r.block for r in pf.pop_requests()] == [2, 3]
+        assert [b for b, _, _ in pf.pop_requests()] == [2, 3]
 
     def test_no_prediction_on_first_occurrence(self):
         pf = GHBPrefetcher()
         for i, b in enumerate([1, 2, 3]):
             miss(pf, i, b)
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
 
     def test_history_wraparound_limits_reach(self):
         pf = GHBPrefetcher(GHBConfig(history_entries=4, index_entries=64))
@@ -37,7 +37,7 @@ class TestGHB:
         for i, b in enumerate(range(200, 210), start=1):
             miss(pf, i, b)  # floods the 4-entry history
         miss(pf, 50, 100)  # previous occurrence overwritten: no chain
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
 
     def test_writes_and_hits_ignored(self):
         pf = GHBPrefetcher()
@@ -71,7 +71,7 @@ class TestMarkov:
             miss(pf, i, b)
         pf.pop_requests()
         miss(pf, 10, 1)
-        assert [r.block for r in pf.pop_requests()] == [2]
+        assert [b for b, _, _ in pf.pop_requests()] == [2]
 
     def test_ranks_successors_by_frequency(self):
         pf = MarkovPrefetcher(MarkovConfig(fanout=1))
@@ -80,7 +80,7 @@ class TestMarkov:
             miss(pf, i, b)
         pf.pop_requests()
         miss(pf, 10, 1)
-        assert [r.block for r in pf.pop_requests()] == [2]
+        assert [b for b, _, _ in pf.pop_requests()] == [2]
 
     def test_successor_cap_drops_weakest(self):
         pf = MarkovPrefetcher(MarkovConfig(successors=2, fanout=2))

@@ -10,12 +10,12 @@ from repro.memsys.svb import StreamedValueBuffer
 class TestHierarchy:
     def test_first_access_is_offchip(self, tiny_system):
         h = Hierarchy(tiny_system)
-        assert h.access(100).level is ServiceLevel.MEMORY
+        assert h.access(100) == (ServiceLevel.MEMORY, None, False)
 
     def test_second_access_hits_l1(self, tiny_system):
         h = Hierarchy(tiny_system)
         h.access(100)
-        assert h.access(100).level is ServiceLevel.L1
+        assert h.access(100) == (ServiceLevel.L1, None, False)
 
     def test_l2_hit_after_l1_eviction(self, tiny_system):
         h = Hierarchy(tiny_system)
@@ -24,34 +24,36 @@ class TestHierarchy:
         for block in range(1, 200):
             h.access(block)
         assert 0 not in h.l1
-        assert h.access(0).level is ServiceLevel.L2
+        level, _, _ = h.access(0)
+        assert level is ServiceLevel.L2
 
     def test_eviction_notification(self, tiny_system):
         h = Hierarchy(tiny_system)
         evicted = []
         for block in range(0, 300):
-            outcome = h.access(block)
-            evicted.extend(outcome.l1_evictions)
+            _, victim, _ = h.access(block)
+            if victim is not None:
+                evicted.append(victim)
         assert evicted, "flooding the L1 must produce eviction notices"
+        assert all(victim not in h.l1 for victim in evicted)
 
     def test_install_prefetch_sets_flag_and_fills_l2(self, tiny_system):
         h = Hierarchy(tiny_system)
         h.install_prefetch(42)
         assert 42 in h.l1 and 42 in h.l2
-        outcome = h.access(42)
-        assert outcome.level is ServiceLevel.L1
-        assert outcome.prefetch_hit
+        level, _, prefetch_hit = h.access(42)
+        assert level is ServiceLevel.L1
+        assert prefetch_hit
 
     def test_prefetch_hit_only_once(self, tiny_system):
         h = Hierarchy(tiny_system)
         h.install_prefetch(42)
-        assert h.access(42).prefetch_hit
-        assert not h.access(42).prefetch_hit
+        assert h.access(42)[2]
+        assert not h.access(42)[2]
 
     def test_fill_from_svb_places_block(self, tiny_system):
         h = Hierarchy(tiny_system)
-        outcome = h.fill_from_svb(9)
-        assert outcome.level is ServiceLevel.SVB
+        assert h.fill_from_svb(9) is None  # nothing to evict yet
         assert 9 in h.l1 and 9 in h.l2
 
     def test_present(self, tiny_system):

@@ -32,7 +32,7 @@ class TestNaiveHybrid:
         pf.pop_requests()
         pf.on_access(event(50, blocks[0]))  # TMS stream + SMS trigger
         requests = pf.pop_requests()
-        targets = {r.target for r in requests}
+        targets = {target for _, _, target in requests}
         assert TARGET_SVB in targets  # TMS side produced stream fetches
 
     def test_both_engines_observe(self):
@@ -67,7 +67,7 @@ class TestComposite:
         for i, b in enumerate([100, 101, 102]):
             pf.on_access(event(i, b, pc=0x99))
         requests = pf.pop_requests()
-        stride_reqs = [r for r in requests if r.target == TARGET_L1]
+        stride_reqs = [r for r in requests if r[2] == TARGET_L1]
         assert stride_reqs, "stride engine must produce L1-bound requests"
 
     def test_composite_in_driver_beats_nothing(self):

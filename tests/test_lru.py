@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.lru import LRUSet, LRUTable
+from repro.common.lru import LRUTable
 
 
 class TestLRUTable:
@@ -73,20 +73,6 @@ class TestLRUTable:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             LRUTable(0)
-
-
-class TestLRUSet:
-    def test_add_contains(self):
-        s = LRUSet(2)
-        assert s.add("x") is None
-        assert "x" in s
-
-    def test_displacement(self):
-        s = LRUSet(2)
-        s.add("x")
-        s.add("y")
-        assert s.add("z") == "x"
-        assert len(s) == 2
 
 
 @given(

@@ -44,7 +44,7 @@ def test_pst_sequence_positions_strictly_ordered(trainings):
         ]
         pst.train((1, 0), elements)
         steps = pst.predict((1, 0))
-        seen = [s.offset for s in steps]
+        seen = [o for o, _ in steps]
         assert len(seen) == len(set(seen))
 
 
@@ -81,7 +81,7 @@ def test_reconstruction_preserves_temporal_order(deltas):
     ]
     recon = Reconstructor(pst, AMAP)
     result = recon.reconstruct(entries, include_first=True)
-    expected = [e.block for e in entries if result.blocks]
+    expected = [b for b, _, _ in entries if result.blocks]
     # entries beyond the buffer are dropped; the prefix order is exact
     assert result.blocks == expected[: len(result.blocks)]
 

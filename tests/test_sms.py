@@ -19,9 +19,9 @@ def block(region, offset):
 class TestAGT:
     def test_trigger_detection(self):
         agt = ActiveGenerationTable(8, AMAP)
-        assert agt.observe(0x1, block(5, 0), offchip=True).is_trigger
-        assert not agt.observe(0x2, block(5, 3), offchip=True).is_trigger
-        assert agt.observe(0x1, block(6, 0), offchip=True).is_trigger
+        assert agt.observe(0x1, block(5, 0), offchip=True)[0]
+        assert not agt.observe(0x2, block(5, 3), offchip=True)[0]
+        assert agt.observe(0x1, block(6, 0), offchip=True)[0]
 
     def test_records_first_touch_order(self):
         agt = ActiveGenerationTable(8, AMAP)
@@ -129,12 +129,12 @@ class TestSMSPrefetcher:
         pf.on_l1_eviction(block(5, 3))
         access = MemoryAccess(index=10, pc=0x1, address=block(9, 0) * 64)
         pf.on_access(AccessEvent(access=access, block=block(9, 0), level=mem))
-        predicted = sorted(r.block for r in pf.pop_requests())
+        predicted = sorted(b for b, _, _ in pf.pop_requests())
         assert predicted == [block(9, 3), block(9, 7)]
 
     def test_no_prediction_without_history(self):
         pf = run_sms([(0x1, 5, 0, ServiceLevel.MEMORY)])
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
 
     def test_trigger_offset_part_of_index(self):
         mem = ServiceLevel.MEMORY
@@ -144,7 +144,7 @@ class TestSMSPrefetcher:
         access = MemoryAccess(index=10, pc=0x1, address=block(9, 0) * 64)
         pf.on_access(AccessEvent(access=access, block=block(9, 0),
                                  level=ServiceLevel.MEMORY))
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
 
     def test_finish_flushes_training(self):
         mem = ServiceLevel.MEMORY
@@ -153,7 +153,7 @@ class TestSMSPrefetcher:
         pf.finish()  # trains via flush
         access = MemoryAccess(index=10, pc=0x1, address=block(9, 0) * 64)
         pf.on_access(AccessEvent(access=access, block=block(9, 0), level=mem))
-        assert [r.block for r in pf.pop_requests()] == [block(9, 3)]
+        assert [b for b, _, _ in pf.pop_requests()] == [block(9, 3)]
 
     def test_install_target(self):
         assert SMSPrefetcher().install_target == "l1"

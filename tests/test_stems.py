@@ -58,9 +58,9 @@ class TestTraining:
         miss(pf, 2, block(2, 0), pc=0x1)   # trigger (append)
         miss(pf, 3, block(2, 3), pc=0x2)   # filtered
         miss(pf, 4, block(3, 0), pc=0x9)   # trigger: delta must be 1
-        entry = pf.rmob.get(pf.rmob.head - 1)
-        assert entry.block == block(3, 0)
-        assert entry.delta == 1
+        entry_block, _, delta = pf.rmob.get(pf.rmob.head - 1)
+        assert entry_block == block(3, 0)
+        assert delta == 1
 
     def test_l2_hits_do_not_advance_miss_count(self):
         pf = STeMSPrefetcher()
@@ -83,7 +83,7 @@ class TestSpatialOnlyStreams:
         requests = pf.pop_requests()
         assert pf.stats.get("spatial_only_streams") == 1
         # throttled start: initial_fetch blocks, in sequence order
-        assert [r.block for r in requests] == [block(5, 3), block(5, 7)][
+        assert [b for b, _, _ in requests] == [block(5, 3), block(5, 7)][
             : STeMSConfig().initial_fetch
         ]
 
@@ -95,17 +95,17 @@ class TestSpatialOnlyStreams:
         pf.on_l1_eviction(block(1, 3))
         pf.pop_requests()
         miss(pf, 10, block(5, 0), pc=0x1)
-        (first,) = pf.pop_requests()
-        assert first.block == block(5, 3)
+        [(first_block, first_stream, _)] = pf.pop_requests()
+        assert first_block == block(5, 3)
         miss(pf, 11, block(5, 3), pc=0x2, covered=True,
-             stream_id=first.stream_id)
-        extended = [r.block for r in pf.pop_requests()]
+             stream_id=first_stream)
+        extended = [b for b, _, _ in pf.pop_requests()]
         assert extended == [block(5, 7), block(5, 9), block(5, 12)]
 
     def test_no_stream_without_pst_entry(self):
         pf = STeMSPrefetcher()
         miss(pf, 0, block(5, 0), pc=0x77)
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
         assert pf.stats.get("spatial_only_streams") == 0
 
 
@@ -117,7 +117,7 @@ class TestReconstructedStreams:
             miss(pf, i, b, pc=0x1 + i * 4)
         pf.pop_requests()
         miss(pf, 10, blocks[0], pc=0x1)  # recurs: reconstruct from here
-        requests = [r.block for r in pf.pop_requests()]
+        requests = [b for b, _, _ in pf.pop_requests()]
         assert requests == blocks[1:]
         assert pf.stats.get("reconstructed_streams") == 1
 
@@ -133,7 +133,7 @@ class TestReconstructedStreams:
         miss(pf, 4, block(3, 0), pc=0x9)   # appended, delta 1
         pf.pop_requests()
         miss(pf, 10, block(2, 0), pc=0x1)  # recurs
-        requests = [r.block for r in pf.pop_requests()]
+        requests = [b for b, _, _ in pf.pop_requests()]
         # reconstruction: slot0 = trigger (excluded), slot1 = spatial 2.4,
         # slot2 = next trigger 3.0
         assert requests == [block(2, 4), block(3, 0)]

@@ -14,42 +14,42 @@ class TestPST:
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0), (2, 1), (31, 1)))
         steps = pst.predict((1, 0))
-        assert [(s.offset, s.delta) for s in steps] == [(4, 0), (2, 1), (31, 1)]
+        assert steps == [(4, 0), (2, 1), (31, 1)]
 
     def test_order_follows_most_recent_observation(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0), (2, 1)))
         pst.train((1, 0), elements((2, 0), (4, 2)))
         steps = pst.predict((1, 0))
-        assert [s.offset for s in steps] == [2, 4]
-        assert [s.delta for s in steps] == [0, 2]
+        assert [o for o, _ in steps] == [2, 4]
+        assert [d for _, d in steps] == [0, 2]
 
     def test_new_offsets_in_existing_entry_below_threshold(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0)))
         pst.train((1, 0), elements((4, 0), (9, 1)))
-        assert [s.offset for s in pst.predict((1, 0))] == [4]
+        assert [o for o, _ in pst.predict((1, 0))] == [4]
         # a second sighting promotes it
         pst.train((1, 0), elements((4, 0), (9, 1)))
-        assert [s.offset for s in pst.predict((1, 0))] == [4, 9]
+        assert [o for o, _ in pst.predict((1, 0))] == [4, 9]
 
     def test_unobserved_offsets_decay(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0), (7, 1)))
         for _ in range(4):
             pst.train((1, 0), elements((4, 0)))
-        assert [s.offset for s in pst.predict((1, 0))] == [4]
+        assert [o for o, _ in pst.predict((1, 0))] == [4]
 
     def test_duplicate_offsets_use_first_occurrence(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((4, 0), (4, 3), (6, 1)))
         steps = pst.predict((1, 0))
-        assert [(s.offset, s.delta) for s in steps] == [(4, 0), (6, 1)]
+        assert steps == [(4, 0), (6, 1)]
 
     def test_out_of_range_offsets_ignored(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)
         pst.train((1, 0), elements((40, 0), (4, 1)))
-        assert [s.offset for s in pst.predict((1, 0))] == [4]
+        assert [o for o, _ in pst.predict((1, 0))] == [4]
 
     def test_predict_offsets_set(self):
         pst = PatternSequenceTable(STeMSConfig(), 32)

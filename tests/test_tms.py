@@ -22,8 +22,8 @@ class TestCMOB:
         cmob = CircularMissBuffer(8)
         for block in (1, 2, 3, 4):
             cmob.append(block)
-        assert [e.block for e in cmob.read_from(1, 2)] == [2, 3]
-        assert [e.block for e in cmob.read_from(3, 10)] == [4]
+        assert [b for b, _, _ in cmob.read_from(1, 2)] == [2, 3]
+        assert [b for b, _, _ in cmob.read_from(3, 10)] == [4]
         assert cmob.read_from(4, 4) == []
 
     def test_wraparound_invalidates_old_entries(self):
@@ -45,7 +45,7 @@ class TestCMOB:
         cmob = CircularMissBuffer(4)
         pos = cmob.append(7, pc=0x42, delta=3)
         entry = cmob.get(pos)
-        assert (entry.block, entry.pc, entry.delta) == (7, 0x42, 3)
+        assert entry == (7, 0x42, 3)
 
     def test_len(self):
         cmob = CircularMissBuffer(4)
@@ -67,7 +67,7 @@ class TestTMSPrefetcher:
         pf = TMSPrefetcher()
         for i, block in enumerate([1, 2, 3]):
             pf.on_access(miss_event(i, block))
-        assert pf.pop_requests() == []
+        assert pf.pop_requests() == ()
 
     def test_stream_starts_on_repeat(self):
         pf = TMSPrefetcher(TMSConfig(initial_fetch=2))
@@ -75,18 +75,18 @@ class TestTMSPrefetcher:
             pf.on_access(miss_event(i, block))
         pf.on_access(miss_event(10, 1))  # 1 recurs: stream [2, 3, ...]
         requests = pf.pop_requests()
-        assert [r.block for r in requests] == [2, 3]
-        assert requests[0].stream_id == requests[1].stream_id
+        assert [b for b, _, _ in requests] == [2, 3]
+        assert requests[0][1] == requests[1][1]
 
     def test_consumption_extends_stream(self):
         pf = TMSPrefetcher(TMSConfig(initial_fetch=1, lookahead=4))
         for i, block in enumerate([1, 2, 3, 4, 5, 6]):
             pf.on_access(miss_event(i, block))
         pf.on_access(miss_event(10, 1))
-        (first,) = pf.pop_requests()
-        assert first.block == 2
-        pf.on_access(miss_event(11, 2, covered=True, stream_id=first.stream_id))
-        extended = [r.block for r in pf.pop_requests()]
+        [(first_block, first_stream, _)] = pf.pop_requests()
+        assert first_block == 2
+        pf.on_access(miss_event(11, 2, covered=True, stream_id=first_stream))
+        extended = [b for b, _, _ in pf.pop_requests()]
         assert extended == [3, 4, 5, 6]
 
     def test_writes_ignored(self):
@@ -112,13 +112,13 @@ class TestTMSPrefetcher:
         for i, block in enumerate([1, 2, 3, 4, 5, 6]):
             pf.on_access(miss_event(i, block))
         pf.on_access(miss_event(10, 1))
-        (first,) = pf.pop_requests()  # fetched block 2
+        [(first_block, first_stream, _)] = pf.pop_requests()  # fetched block 2
         allocated_before = pf.queues.allocated
         # demand jumps to 3, which is pending (not yet fetched): re-sync
         pf.on_access(miss_event(11, 3))
         assert pf.queues.allocated == allocated_before
         assert pf.stats.get("stream_resyncs") == 1
-        blocks = [r.block for r in pf.pop_requests()]
+        blocks = [b for b, _, _ in pf.pop_requests()]
         assert blocks and blocks[0] == 4  # skipped past 3
 
     def test_svb_discard_releases_inflight(self):
@@ -127,8 +127,8 @@ class TestTMSPrefetcher:
             pf.on_access(miss_event(i, block))
         pf.on_access(miss_event(10, 1))
         requests = pf.pop_requests()
-        stream_id = requests[0].stream_id
+        stream_id = requests[0][1]
         queue = pf.queues.get(stream_id)
         inflight_before = queue.inflight
-        pf.on_svb_discard(requests[0].block, stream_id)
+        pf.on_svb_discard(requests[0][0], stream_id)
         assert queue.inflight == inflight_before - 1
