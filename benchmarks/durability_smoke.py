@@ -12,7 +12,10 @@ journal sealing, a faithful SIGKILL stand-in):
 3. ``--resume last`` finishes the run: the journal shows which jobs are
    already durable, only the remainder re-executes, and the exported
    rows must equal the clean run's **byte for byte**;
-4. ``repro-fsck`` over the crashed-and-resumed cache and trace store
+4. ``--list-runs`` shows the killed run as ``crashed → resumed by
+   <new run id>`` — a link derived from the new run's journal header,
+   with no file besides the journal recording it;
+5. ``repro-fsck`` over the crashed-and-resumed cache and trace store
    must find no damage (the torn state a crash leaves behind is either
    valid or detected).
 
@@ -36,7 +39,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.engine.faultinject import ENV_VAR, KILL_EXIT_CODE  # noqa: E402
-from repro.engine.journal import load_run, runs_root  # noqa: E402
+from repro.engine.journal import list_runs, load_run, runs_root  # noqa: E402
 
 
 def runner_cmd(*extra: str) -> "list[str]":
@@ -153,6 +156,29 @@ def main(argv=None) -> int:
             else:
                 print(f"[{mode:<9}] resumed export bit-identical "
                       f"({len(recovered)} bytes)")
+            successor = next(
+                (r.run_id for r in list_runs(runs_root(cache))
+                 if r.header.get("resumed_from") == record.run_id),
+                None,
+            )
+            listing = run(runner_cmd("--list-runs", "--cache-dir", cache))
+            link = f"crashed → resumed by {successor}"
+            if successor is None or not any(
+                line.startswith(record.run_id) and link in line
+                for line in listing.stdout.splitlines()
+            ):
+                failures.append(
+                    f"{mode}: --list-runs lacks '{record.run_id} ... "
+                    f"{link}'\n{listing.stdout}"
+                )
+            else:
+                print(f"[{mode:<9}] --list-runs: {record.run_id} {link}")
+            stale = sorted(runs_root(cache).glob("*/manifest.json"))
+            if stale:
+                failures.append(
+                    f"{mode}: run directories hold a second record: "
+                    f"{', '.join(map(str, stale))}"
+                )
             fsck = run(
                 [sys.executable, "-m", "repro.tools.fsck",
                  "--cache-dir", cache, "--trace-store", traces, "--quiet"],

@@ -9,28 +9,18 @@ result back instead of a re-simulation.
 
 Entries are sharded into two-hex-character subdirectories
 (``ab/abcdef….json``) so million-job sweeps never pile every file into
-one flat directory. Caches written by older versions (flat layout) are
-migrated transparently: a flat entry found on lookup is moved into its
-shard before being served.
-
-An optional sqlite index (``index=True``) maintains an ``index.sqlite``
-catalog of ``(hash, kind, workload)`` rows alongside the files. Lookups
-never need it — the sharded path is computed from the hash — and it only
-catalogs entries stored *through an index-enabled handle*; it exists so
-huge sweeps can enumerate what they stored without walking 256 shard
-directories, not as the source of truth (``entry_count()`` always counts
-the files themselves).
+one flat directory. The shard files are the whole cache: a lookup
+computes the path from the hash.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from repro import __version__ as _PACKAGE_VERSION
 from repro.engine.faultinject import maybe_corrupt_cache
@@ -64,57 +54,17 @@ class ResultCache:
 
     Args:
         directory: cache root; created if missing.
-        index: also maintain the optional sqlite catalog of stored
-            entries (best-effort: an unwritable or corrupt index never
-            fails a store/load).
     """
 
-    def __init__(self, directory: Union[str, Path], index: bool = False) -> None:
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
-        self._index_db: Optional[sqlite3.Connection] = None
-        if index:
-            try:
-                self._index_db = sqlite3.connect(self.directory / "index.sqlite")
-                self._index_db.execute(
-                    "CREATE TABLE IF NOT EXISTS results ("
-                    " hash TEXT PRIMARY KEY,"
-                    " kind TEXT NOT NULL,"
-                    " workload TEXT NOT NULL)"
-                )
-                self._index_db.commit()
-            except sqlite3.Error:
-                self._index_db = None  # accelerator only, never a failure
 
     def path_for(self, job: SimJob) -> Path:
         """The sharded entry path (``ab/abcdef….json``) for ``job``."""
         job_hash = job.job_hash
         return self.directory / job_hash[:2] / f"{job_hash}.json"
-
-    def _legacy_path_for(self, job: SimJob) -> Path:
-        """Where a pre-sharding cache would have stored ``job``."""
-        return self.directory / f"{job.job_hash}.json"
-
-    def _migrate_legacy(self, job: SimJob, path: Path) -> Path:
-        """Move a flat-layout entry into its shard, if one exists.
-
-        Returns:
-            The path to read: the sharded ``path`` after a successful
-            (or unneeded) migration, or the flat entry itself when the
-            cache is read-only — a legacy entry is served either way.
-        """
-        legacy = self._legacy_path_for(job)
-        if not legacy.is_file():
-            return path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, path)
-        except OSError:
-            # racing migrator already moved it, or read-only cache:
-            # serve whichever of the two locations holds the entry
-            return path if path.is_file() else legacy
-        return path
 
     def load(self, job: SimJob) -> Optional[Any]:
         """The cached result for ``job``, or None on a miss.
@@ -127,8 +77,6 @@ class ResultCache:
         it — the caller just sees a miss and re-executes the job.
         """
         path = self.path_for(job)
-        if not path.is_file():
-            path = self._migrate_legacy(job, path)
         try:
             with path.open() as handle:
                 document = json.load(handle)
@@ -191,75 +139,7 @@ class ResultCache:
             json.dump(document, handle)
         os.replace(tmp, path)
         maybe_corrupt_cache(path)
-        self._index_store(job)
         return path
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the sqlite catalog connection (idempotent).
-
-        File entries need no teardown; only the optional index holds an
-        OS handle. Long-running sweeps that open many caches should
-        close them (or use the cache as a context manager) rather than
-        rely on garbage collection.
-        """
-        if self._index_db is not None:
-            try:
-                self._index_db.close()
-            except sqlite3.Error:
-                pass
-            self._index_db = None
-
-    def __enter__(self) -> "ResultCache":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- optional sqlite catalog -------------------------------------------
-
-    def _index_store(self, job: SimJob) -> None:
-        if self._index_db is None:
-            return
-        try:
-            with self._index_db:
-                self._index_db.execute(
-                    "INSERT OR REPLACE INTO results (hash, kind, workload) "
-                    "VALUES (?, ?, ?)",
-                    (job.job_hash, job.kind, job.workload),
-                )
-        except sqlite3.Error:
-            pass  # the index is an accelerator, never a failure mode
-
-    def indexed_hashes(self) -> Iterator[str]:
-        """Job hashes this handle's sqlite catalog recorded (empty when
-        the index is disabled). Enumeration only — entries stored by
-        non-indexed handles are on disk but not in the catalog."""
-        if self._index_db is None:
-            return iter(())
-        try:
-            rows = self._index_db.execute(
-                "SELECT hash FROM results ORDER BY hash"
-            )
-            return iter([row[0] for row in rows])
-        except sqlite3.Error:
-            return iter(())
-
-    def entry_count(self) -> int:
-        """Entries on disk: sharded plus not-yet-migrated flat ones.
-
-        Always counts the files (the source of truth) rather than the
-        optional catalog, which only sees index-enabled stores.
-        """
-        sharded = sum(1 for _ in self.directory.glob("??/*.json"))
-        flat = sum(1 for _ in self.directory.glob("*.json"))
-        return sharded + flat
-
-    def entries(self) -> Iterator[Path]:
-        """Every entry file on disk (sharded first, then legacy flat)."""
-        yield from sorted(self.directory.glob("??/*.json"))
-        yield from sorted(self.directory.glob("*.json"))
 
 
 def inspect_shard(path: Union[str, Path]) -> "tuple[str, str]":

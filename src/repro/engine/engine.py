@@ -303,9 +303,6 @@ class Engine:
             futures, and raises
             :class:`~repro.engine.faults.RunInterrupted` — the
             graceful-shutdown hook. None disables the check.
-
-    An engine is a context manager; leaving the ``with`` block closes
-    the result cache's sqlite catalog handle deterministically.
     """
 
     #: pool deaths tolerated per batch before degrading to serial
@@ -417,17 +414,6 @@ class Engine:
                     after["quarantined"] - cache_before["quarantined"]
                 )
         return results
-
-    def close(self) -> None:
-        """Release held OS handles (the cache's sqlite catalog)."""
-        if self.cache is not None:
-            self.cache.close()
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def _check_interrupt(self) -> None:
         """Raise :class:`RunInterrupted` when graceful shutdown is

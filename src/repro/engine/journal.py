@@ -1,28 +1,26 @@
 """Durable runs: the crash-safe write-ahead run journal.
 
-Every journaled sweep lives under ``<cache-dir>/runs/<run_id>/`` as two
-files:
+Every journaled sweep lives under ``<cache-dir>/runs/<run_id>/``, and
+its one record is ``journal.jsonl``: an append-only write-ahead log.
+Each line is one event, framed as ``<crc32 hex8> <canonical JSON>`` and
+fsync'd before the engine moves on, so the log survives a SIGKILL, an
+OOM kill or a power cut with at worst one torn trailing line (which
+readers detect and drop — everything before it is trustworthy). The
+first event is the run header (argv, pid, start time, experiments,
+config hash, package/cache/store versions); the rest are job lifecycle
+events: ``job_scheduled`` (with the job's full canonical description,
+so the graph can be rebuilt from the journal alone),
+``attempt_started`` / ``attempt_failed``, ``job_completed`` — written
+only *after* the result is durably in the result cache, with the cache
+shard it landed in — and finally ``run_finished``, which seals the run
+with a terminal status (``clean | degraded | failed | interrupted``).
 
-``journal.jsonl``
-    An append-only write-ahead log. Each line is one event, framed as
-    ``<crc32 hex8> <canonical JSON>`` and fsync'd before the engine
-    moves on, so the log survives a SIGKILL, an OOM kill or a power cut
-    with at worst one torn trailing line (which readers detect and drop
-    — everything before it is trustworthy). The first event is the run
-    header (argv, config hash, package/cache/store versions); the rest
-    are job lifecycle events: ``job_scheduled`` (with the job's full
-    canonical description, so the graph can be rebuilt from the journal
-    alone), ``attempt_started`` / ``attempt_failed``, and
-    ``job_completed`` — written only *after* the result is durably in
-    the result cache, with the cache shard it landed in.
-
-``manifest.json``
-    A small atomically-replaced summary (run id, status, pid, progress
-    counters) so ``--list-runs`` and ``repro-fsck`` can classify runs
-    without replaying journals. Status moves ``running →
-    clean | degraded | failed | interrupted``; a manifest still claiming
-    ``running`` for a dead pid is a crashed — and therefore resumable —
-    run.
+A run's status is derived from the journal alone: the sealed status
+when there is one; otherwise ``running`` while the header's pid is
+alive, and ``crashed`` — therefore resumable — once it is not. Which
+run resumed which is derived too: a resuming run's header names the
+run it resumed (``resumed_from``), and :func:`list_runs` links the pair,
+so nothing ever rewrites a finished run's directory.
 
 Resume (:mod:`repro.experiments.runner` ``--resume <run_id|last>``)
 rebuilds the :class:`~repro.engine.graph.JobGraph` from the journal's
@@ -63,18 +61,17 @@ from repro.tracestore.store import STORE_VERSION
 #: subdirectory of a cache dir holding one directory per journaled run
 RUNS_DIR = "runs"
 JOURNAL_NAME = "journal.jsonl"
-MANIFEST_NAME = "manifest.json"
 
 #: bumped when the event schema changes incompatibly
 JOURNAL_VERSION = 1
 
-#: terminal manifest statuses (anything else means the run never ended
-#: cleanly — still running, or crashed with the status stuck at running)
+#: the statuses ``run_finished`` seals a run with (an unsealed journal
+#: is ``running`` or, once its pid is dead, ``crashed``)
 TERMINAL_STATUSES = ("clean", "degraded", "failed", "interrupted")
 
 
 class JournalError(ValueError):
-    """A journal or manifest is structurally unusable."""
+    """A journal is structurally unusable."""
 
 
 def new_run_id() -> str:
@@ -130,22 +127,18 @@ def decode_line(line: str) -> Dict[str, Any]:
 
 
 class RunJournal:
-    """Write-ahead journal + manifest for one run (the writer side).
+    """Write-ahead journal for one run (the writer side).
 
     Create with :meth:`create`; every ``append`` is flushed and fsync'd
     before returning, so an event the engine has moved past is durable.
-    The journal is a context manager; :meth:`finish` (or
-    :meth:`close`) releases the file handle.
+    :meth:`finish` (or :meth:`close`) releases the file handle.
     """
 
-    def __init__(self, directory: Union[str, Path], run_id: str,
-                 fsync: bool = True) -> None:
+    def __init__(self, directory: Union[str, Path], run_id: str) -> None:
         self.directory = Path(directory)
         self.run_id = run_id
-        self.fsync = fsync
         self.jobs_scheduled = 0
         self.jobs_completed = 0
-        self.jobs_failed = 0
         self._handle = (self.directory / JOURNAL_NAME).open(
             "a", encoding="utf-8"
         )
@@ -155,7 +148,6 @@ class RunJournal:
         root: Union[str, Path],
         run_id: Optional[str] = None,
         header: Optional[Dict[str, Any]] = None,
-        fsync: bool = True,
     ) -> "RunJournal":
         """Start a new journaled run under ``root`` (the runs directory).
 
@@ -165,10 +157,7 @@ class RunJournal:
             run_id: explicit identifier (must be new), or None for an
                 auto-generated one.
             header: extra run-header fields (argv, experiments, config
-                hash…) recorded in the ``run_started`` event and
-                mirrored into the manifest.
-            fsync: set False to skip the per-event fsync (tests only —
-                crash safety is the point of the journal).
+                hash…) recorded in the ``run_started`` event.
 
         Raises:
             JournalError: when ``run_id`` is unusable or already taken.
@@ -195,7 +184,7 @@ class RunJournal:
                 if not directory.exists():
                     break
         directory.mkdir(parents=True)
-        journal = RunJournal(directory, run_id, fsync=fsync)
+        journal = RunJournal(directory, run_id)
         started = time.strftime("%Y-%m-%dT%H:%M:%S")
         event: Dict[str, Any] = {
             "event": "run_started",
@@ -212,9 +201,7 @@ class RunJournal:
             },
         }
         event.update(header or {})
-        journal.header = event
         journal.append(event)
-        journal._write_manifest("running")
         return journal
 
     # -- low-level ---------------------------------------------------------
@@ -230,27 +217,7 @@ class RunJournal:
         event.setdefault("t", round(time.time(), 6))
         self._handle.write(encode_line(event) + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
-
-    def _write_manifest(self, status: str,
-                        extra: Optional[Dict[str, Any]] = None) -> None:
-        header = getattr(self, "header", {})
-        manifest = {
-            "run_id": self.run_id,
-            "status": status,
-            "pid": os.getpid(),
-            "started": header.get("started"),
-            "started_unix": header.get("started_unix"),
-            "argv": header.get("argv"),
-            "experiments": header.get("experiments"),
-            "repro": _PACKAGE_VERSION,
-            "jobs_scheduled": self.jobs_scheduled,
-            "jobs_completed": self.jobs_completed,
-            "jobs_failed": self.jobs_failed,
-        }
-        manifest.update(extra or {})
-        write_manifest(self.directory, manifest, fsync=self.fsync)
+        os.fsync(self._handle.fileno())
 
     # -- lifecycle events ---------------------------------------------------
 
@@ -292,7 +259,6 @@ class RunJournal:
 
     def job_failed(self, failure: JobFailure) -> None:
         """``job`` exhausted its retries (a resume re-attempts it)."""
-        self.jobs_failed += 1
         self.append({
             "event": "job_failed",
             "job": failure.job_hash,
@@ -302,7 +268,7 @@ class RunJournal:
 
     def finish(self, status: str,
                stats: Optional[Dict[str, Any]] = None) -> None:
-        """Seal the run: terminal event + manifest status + close."""
+        """Seal the run: terminal event + close."""
         if status not in TERMINAL_STATUSES:
             raise JournalError(f"not a terminal status: {status!r}")
         event: Dict[str, Any] = {
@@ -313,36 +279,13 @@ class RunJournal:
         if stats:
             event["stats"] = stats
         self.append(event)
-        self._write_manifest(status, {"finished": event["finished"]})
         self.close()
 
     def close(self) -> None:
         if self._handle is not None and not self._handle.closed:
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
             self._handle.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def write_manifest(directory: Union[str, Path], manifest: Dict[str, Any],
-                   fsync: bool = True) -> Path:
-    """Atomically (re)write a run directory's manifest."""
-    directory = Path(directory)
-    path = directory / MANIFEST_NAME
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
 
 
 # -- reader -----------------------------------------------------------------
@@ -364,7 +307,6 @@ class RunRecord:
 
     run_id: str
     directory: Path
-    manifest: Dict[str, Any] = field(default_factory=dict)
     header: Dict[str, Any] = field(default_factory=dict)
     scheduled: "Dict[str, Dict[str, Any]]" = field(default_factory=dict)
     labels: Dict[str, str] = field(default_factory=dict)
@@ -374,10 +316,13 @@ class RunRecord:
     finished_status: Optional[str] = None
     damage: Optional[JournalDamage] = None
     valid_bytes: int = 0      #: byte length of the journal's valid prefix
+    #: the run whose header names this one in ``resumed_from`` (derived
+    #: by :func:`list_runs`; None from a bare :func:`load_run`)
+    resumed_by: Optional[str] = None
 
     @property
     def argv(self) -> List[str]:
-        argv = self.header.get("argv") or self.manifest.get("argv")
+        argv = self.header.get("argv")
         if not isinstance(argv, list):
             raise JournalError(
                 f"run {self.run_id}: no recorded argv (header lost?)"
@@ -386,16 +331,14 @@ class RunRecord:
 
     @property
     def started(self) -> str:
-        return str(self.header.get("started")
-                   or self.manifest.get("started") or "")
+        return str(self.header.get("started") or "")
 
     @property
     def started_unix(self) -> float:
         """Sub-second start time — what ``last`` selection orders by
         (the human-readable ``started`` only has 1s resolution)."""
         try:
-            return float(self.header.get("started_unix")
-                         or self.manifest.get("started_unix") or 0.0)
+            return float(self.header.get("started_unix") or 0.0)
         except (TypeError, ValueError):
             return 0.0
 
@@ -404,13 +347,12 @@ class RunRecord:
         return [h for h in self.scheduled if h not in self.completed]
 
     def status(self) -> str:
-        """Effective status, preferring the manifest but detecting
-        crashes: ``running`` with a dead pid means the process died
-        without sealing the run."""
-        status = str(self.manifest.get("status") or "unknown")
-        if status == "running" and not _pid_alive(self.manifest.get("pid")):
-            return "crashed"
-        return status
+        """The sealed status; for an unsealed journal ``running`` while
+        the header's pid is alive, else ``crashed`` (the process died
+        without sealing the run)."""
+        if self.finished_status is not None:
+            return self.finished_status
+        return "running" if _pid_alive(self.header.get("pid")) else "crashed"
 
     def resumable(self) -> bool:
         return self.status() in ("interrupted", "crashed") or (
@@ -488,26 +430,16 @@ def read_journal(path: Union[str, Path]) -> "Tuple[List[Dict[str, Any]], Optiona
 
 
 def load_run(run_dir: Union[str, Path]) -> RunRecord:
-    """Read one run directory (journal + manifest) into a record.
+    """Replay one run directory's journal into a record.
 
-    Tolerates a missing or corrupt manifest (derived fields fall back to
-    the journal header) and a damaged journal (the valid prefix is
-    used); raises :class:`JournalError` only when the journal itself is
-    absent.
+    Tolerates a damaged journal (the valid prefix is used); raises
+    :class:`JournalError` only when the journal itself is absent.
     """
     run_dir = Path(run_dir)
     journal_path = run_dir / JOURNAL_NAME
     if not journal_path.is_file():
         raise JournalError(f"{run_dir}: no {JOURNAL_NAME}")
     record = RunRecord(run_id=run_dir.name, directory=run_dir)
-    manifest_path = run_dir / MANIFEST_NAME
-    if manifest_path.is_file():
-        try:
-            loaded = json.loads(manifest_path.read_text())
-            if isinstance(loaded, dict):
-                record.manifest = loaded
-        except (OSError, ValueError):
-            pass  # fsck reports it; the journal remains authoritative
     events, record.damage, record.valid_bytes = read_journal(journal_path)
     for event in events:
         kind = event.get("event")
@@ -537,7 +469,12 @@ def load_run(run_dir: Union[str, Path]) -> RunRecord:
 
 
 def list_runs(root: Union[str, Path]) -> List[RunRecord]:
-    """Every readable run under the runs root, oldest first."""
+    """Every readable run under the runs root, oldest first.
+
+    Each run that another run's header names in ``resumed_from`` gets
+    that run's id as :attr:`RunRecord.resumed_by` (the latest, when a
+    run was resumed more than once).
+    """
     root = Path(root)
     if not root.is_dir():
         return []
@@ -548,38 +485,34 @@ def list_runs(root: Union[str, Path]) -> List[RunRecord]:
         except JournalError:
             continue  # fsck's department
     records.sort(key=lambda r: (r.started_unix, r.started, r.run_id))
+    by_id = {record.run_id: record for record in records}
+    for record in records:
+        origin = by_id.get(record.header.get("resumed_from"))
+        if origin is not None:
+            origin.resumed_by = record.run_id
     return records
 
 
 def find_run(root: Union[str, Path], selector: str) -> RunRecord:
     """Resolve ``--resume``'s argument: a run id, or ``last``.
 
-    ``last`` picks the most recently started readable run.
+    ``last`` picks the most recently started readable run. Ids resolve
+    through :func:`list_runs`, so the record carries ``resumed_by``.
 
     Raises:
         JournalError: when nothing matches.
     """
     root = Path(root)
+    records = list_runs(root)
     if selector == "last":
-        records = list_runs(root)
         if not records:
             raise JournalError(f"no journaled runs under {root}")
         return records[-1]
-    run_dir = root / selector
-    if not run_dir.is_dir():
-        known = ", ".join(r.run_id for r in list_runs(root)[-5:]) or "none"
-        raise JournalError(
-            f"no run {selector!r} under {root} (recent: {known})"
-        )
-    return load_run(run_dir)
-
-
-def mark_resumed(record: RunRecord, resumed_by: str) -> None:
-    """Annotate a superseded run's manifest with its successor."""
-    manifest = dict(record.manifest)
-    manifest.setdefault("run_id", record.run_id)
-    manifest["resumed_by"] = resumed_by
-    write_manifest(record.directory, manifest)
+    for record in records:
+        if record.run_id == selector:
+            return record
+    known = ", ".join(r.run_id for r in records[-5:]) or "none"
+    raise JournalError(f"no run {selector!r} under {root} (recent: {known})")
 
 
 # -- job reconstruction -----------------------------------------------------

@@ -72,7 +72,7 @@ from repro.engine import (
     list_runs,
     runs_root,
 )
-from repro.engine.journal import JournalError, config_hash, mark_resumed
+from repro.engine.journal import JournalError, config_hash
 from repro.telemetry import resolve_telemetry
 from repro.tracestore import default_trace_store_dir
 from repro.experiments import (
@@ -293,17 +293,14 @@ def format_runs(root: Path) -> str:
     lines = []
     for record in records:
         status = record.status()
-        if record.manifest.get("resumed_by"):
-            status += f" → resumed by {record.manifest['resumed_by']}"
+        if record.resumed_by:
+            status += f" → resumed by {record.resumed_by}"
         elif record.resumable():
             status += " (resumable)"
-        scheduled = len(record.scheduled) or record.manifest.get(
-            "jobs_scheduled", 0
-        )
         experiments = record.header.get("experiments") or []
         lines.append(
             f"{record.run_id:<28} {status:<24} "
-            f"{len(record.completed)}/{scheduled} jobs  "
+            f"{len(record.completed)}/{len(record.scheduled)} jobs  "
             f"started {record.started or '?'}  "
             f"[{' '.join(experiments)}]"
         )
@@ -434,84 +431,83 @@ def main(argv: Optional[List[str]] = None) -> int:
             runs_root(args.cache_dir), run_id=args.run_id, header=header
         )
         if resume_record is not None:
-            mark_resumed(resume_record, journal.run_id)
             _cross_check_resume(resume_record, graph)
     shutdown = GracefulShutdown().install()
     try:
-        with make_engine(args, journal=journal,
-                         interrupt=shutdown.event) as engine:
-            try:
-                results = engine.run(graph)
-            except JobExecutionError as error:
-                print(f"[engine: strict abort — {error.failure.summary()}]",
-                      file=sys.stderr)
-                print(f"[{engine.stats.format()}]", file=sys.stderr)
-                _write_telemetry(engine, journal)
-                if journal is not None:
-                    journal.finish("failed", stats=engine.stats.as_dict())
-                return 2
-            except RunInterrupted as stop:
-                print(f"[engine: {stop}]", file=sys.stderr)
-                _write_telemetry(engine, journal)
-                if journal is not None:
-                    journal.finish(
-                        "interrupted", stats=engine.stats.as_dict()
-                    )
-                    print(
-                        f"[run {journal.run_id} interrupted — resume with "
-                        f"--resume {journal.run_id} (or --resume last)]",
-                        file=sys.stderr,
-                    )
-                return 3
-            failures = results.failures()
-            for failure in failures:
-                print(f"[engine: {failure.summary()}]", file=sys.stderr)
-            # per-experiment stderr notes are buffered and flushed after
-            # the tables: an --export run piping stdout must not get
-            # stats lines interleaved mid-table (the notes land on
-            # stderr in one block once stdout is complete)
-            notes: List[str] = []
-            for name in names:
-                module = EXPERIMENTS[name]
-                try:
-                    output = module.collect(config, plans[name], results)
-                    table = module.format_table(output)
-                    exported = (
-                        _export(name, output, args.export,
-                                Path(args.export_dir))
-                        if args.export else None
-                    )
-                except Exception:
-                    if not failures:
-                        raise
-                    # a failed job leaves a hole this experiment needs;
-                    # the run still surfaces every other table
-                    # (degraded, exit 1)
-                    notes.append(
-                        f"[{name}: table skipped — {len(failures)} job(s) "
-                        "failed permanently]"
-                    )
-                    print()
-                    continue
-                print(table)
-                if exported is not None:
-                    notes.append(f"[{name}: rows exported to {exported}]")
-                print()
-            sys.stdout.flush()
-            for note in notes:
-                print(note, file=sys.stderr)
-            # the legacy one-liner stays byte-compatible in every
-            # telemetry mode (CI greps it); telemetry only adds lines
-            print(f"[{engine.stats.format()}, {time.time() - started:.1f}s]",
+        engine = make_engine(args, journal=journal,
+                             interrupt=shutdown.event)
+        try:
+            results = engine.run(graph)
+        except JobExecutionError as error:
+            print(f"[engine: strict abort — {error.failure.summary()}]",
                   file=sys.stderr)
+            print(f"[{engine.stats.format()}]", file=sys.stderr)
             _write_telemetry(engine, journal)
-            degraded = engine.stats.degraded
+            if journal is not None:
+                journal.finish("failed", stats=engine.stats.as_dict())
+            return 2
+        except RunInterrupted as stop:
+            print(f"[engine: {stop}]", file=sys.stderr)
+            _write_telemetry(engine, journal)
             if journal is not None:
                 journal.finish(
-                    "degraded" if degraded else "clean",
-                    stats=engine.stats.as_dict(),
+                    "interrupted", stats=engine.stats.as_dict()
                 )
-            return 1 if degraded else 0
+                print(
+                    f"[run {journal.run_id} interrupted — resume with "
+                    f"--resume {journal.run_id} (or --resume last)]",
+                    file=sys.stderr,
+                )
+            return 3
+        failures = results.failures()
+        for failure in failures:
+            print(f"[engine: {failure.summary()}]", file=sys.stderr)
+        # per-experiment stderr notes are buffered and flushed after
+        # the tables: an --export run piping stdout must not get
+        # stats lines interleaved mid-table (the notes land on
+        # stderr in one block once stdout is complete)
+        notes: List[str] = []
+        for name in names:
+            module = EXPERIMENTS[name]
+            try:
+                output = module.collect(config, plans[name], results)
+                table = module.format_table(output)
+                exported = (
+                    _export(name, output, args.export,
+                            Path(args.export_dir))
+                    if args.export else None
+                )
+            except Exception:
+                if not failures:
+                    raise
+                # a failed job leaves a hole this experiment needs;
+                # the run still surfaces every other table
+                # (degraded, exit 1)
+                notes.append(
+                    f"[{name}: table skipped — {len(failures)} job(s) "
+                    "failed permanently]"
+                )
+                print()
+                continue
+            print(table)
+            if exported is not None:
+                notes.append(f"[{name}: rows exported to {exported}]")
+            print()
+        sys.stdout.flush()
+        for note in notes:
+            print(note, file=sys.stderr)
+        # the legacy one-liner stays byte-compatible in every
+        # telemetry mode (CI greps it); telemetry only adds lines
+        print(f"[{engine.stats.format()}, {time.time() - started:.1f}s]",
+              file=sys.stderr)
+        _write_telemetry(engine, journal)
+        degraded = engine.stats.degraded
+        if journal is not None:
+            journal.finish(
+                "degraded" if degraded else "clean",
+                stats=engine.stats.as_dict(),
+            )
+        return 1 if degraded else 0
     except KeyboardInterrupt:
         # second SIGINT: hard abort — the journal is deliberately left
         # unsealed (status 'running', dead pid → listed as 'crashed',

@@ -269,6 +269,8 @@ class RunTelemetry:
 
 
 def _write_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    # pid-suffixed like every atomic writer, so a write that dies before
+    # the rename leaves a stray ``repro-fsck`` recognises
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)

@@ -9,11 +9,9 @@ durable state the engine relies on:
 * **result-cache shards** — JSON shape, filename/content-hash match,
   and result decodability of every shard
   (:func:`repro.engine.cache.inspect_shard`);
-* **the sqlite catalog** — ``index.sqlite`` opens, and every cataloged
-  hash still has a shard on disk (orphan rows are reported);
 * **run journals** — every ``runs/<run_id>/journal.jsonl`` parses to a
   valid prefix (a torn final line is normal crash evidence; mid-file
-  damage is not), and manifests are readable;
+  damage is not); a crashed run is noted as resumable;
 * **telemetry files** — ``metrics.json``/``trace.json`` in run
   directories parse as JSON. Telemetry is derived observability data,
   never load-bearing state, so a torn or orphaned telemetry file is
@@ -26,9 +24,8 @@ durable state the engine relies on:
 runtime uses (:func:`repro.engine.faults.quarantine_file`): corrupt
 entries/shards are moved into ``quarantine/`` with reason files (the
 next run regenerates them), damaged journals are quarantined and the
-original truncated to its valid prefix, orphan catalog rows are
-deleted, unreadable manifests are rebuilt from their journal, and stray
-temp files are removed.
+original truncated to its valid prefix, and stray temp files are
+removed.
 
 Exit code: ``0`` when the sweep found no damage (stale-version cache
 shards and crashed-but-resumable runs are *reported* but are not
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sqlite3
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,13 +44,7 @@ from typing import List, Optional
 
 from repro.engine.cache import inspect_shard
 from repro.engine.faults import QUARANTINE_DIR, quarantine_file
-from repro.engine.journal import (
-    JOURNAL_NAME,
-    MANIFEST_NAME,
-    RUNS_DIR,
-    load_run,
-    write_manifest,
-)
+from repro.engine.journal import JOURNAL_NAME, RUNS_DIR, load_run
 from repro.telemetry import METRICS_NAME, TRACE_NAME
 from repro.tracestore.codec import read_accesses
 
@@ -64,7 +54,7 @@ class Finding:
     """One problem (or notable state) the sweep turned up."""
 
     path: Path
-    plane: str           #: trace / cache / catalog / journal / manifest
+    plane: str           #: trace / cache / journal / telemetry
     problem: str
     damage: bool = True  #: counts toward the exit code (notes don't)
     repaired: bool = False
@@ -147,11 +137,8 @@ def fsck_trace_store(directory: Path, report: Report,
 
 
 def fsck_cache(directory: Path, report: Report, repair: bool) -> None:
-    """Verify cache shards, the sqlite catalog, and run journals."""
-    shards = list(directory.glob("??/*.json"))
-    shards += [p for p in directory.glob("*.json")
-               if p.parent == directory]
-    for shard in sorted(shards):
+    """Verify cache shards and run journals."""
+    for shard in sorted(directory.glob("??/*.json")):
         report.checked += 1
         status, detail = inspect_shard(shard)
         if status == "corrupt":
@@ -164,53 +151,8 @@ def fsck_cache(directory: Path, report: Report, repair: bool) -> None:
                 finding.repaired = moved is not None
         elif status == "stale":
             report.add(Finding(shard, "cache", detail, damage=False))
-    _fsck_catalog(directory, report, repair)
     _fsck_journals(directory / RUNS_DIR, report, repair)
     _sweep_strays(directory, "cache", report, repair)
-
-
-def _fsck_catalog(directory: Path, report: Report, repair: bool) -> None:
-    catalog = directory / "index.sqlite"
-    if not catalog.is_file():
-        return
-    report.checked += 1
-    try:
-        db = sqlite3.connect(catalog)
-        rows = db.execute("SELECT hash FROM results").fetchall()
-    except sqlite3.Error as error:
-        finding = report.add(Finding(
-            catalog, "catalog", f"unreadable: {error}",
-            action="quarantined (the catalog is an accelerator; "
-            "shards are the source of truth)",
-        ))
-        if repair:
-            moved = quarantine_file(
-                catalog, directory, f"fsck: {finding.problem}"
-            )
-            finding.repaired = moved is not None
-        return
-    orphans = [
-        h for (h,) in rows
-        if not (directory / h[:2] / f"{h}.json").is_file()
-        and not (directory / f"{h}.json").is_file()
-    ]
-    if orphans:
-        finding = report.add(Finding(
-            catalog, "catalog",
-            f"{len(orphans)} cataloged hash(es) with no shard on disk",
-            action="orphan rows deleted",
-        ))
-        if repair:
-            try:
-                with db:
-                    db.executemany(
-                        "DELETE FROM results WHERE hash = ?",
-                        [(h,) for h in orphans],
-                    )
-                finding.repaired = True
-            except sqlite3.Error as error:
-                finding.action = f"delete failed: {error}"
-    db.close()
 
 
 def _fsck_journals(runs: Path, report: Report, repair: bool) -> None:
@@ -249,7 +191,14 @@ def _fsck_journals(runs: Path, report: Report, repair: bool) -> None:
             ))
             if repair:
                 finding.repaired = _repair_journal(record, journal_path)
-        _check_manifest(record, run_dir, report, repair)
+        if record.status() == "crashed":
+            report.add(Finding(
+                journal_path, "journal",
+                f"run {record.run_id} crashed "
+                f"({len(record.completed)}/{len(record.scheduled)} jobs "
+                "durable) — resumable with --resume",
+                damage=False,
+            ))
         _check_telemetry(run_dir, report, repair)
 
 
@@ -297,57 +246,16 @@ def _check_telemetry(run_dir: Path, report: Report, repair: bool) -> None:
                 finding.repaired = moved is not None
 
 
-def _check_manifest(record, run_dir: Path, report: Report,
-                    repair: bool) -> None:
-    manifest_path = run_dir / MANIFEST_NAME
-    broken = not manifest_path.is_file()
-    if not broken:
-        try:
-            if not isinstance(json.loads(manifest_path.read_text()), dict):
-                broken = True
-        except (OSError, ValueError):
-            broken = True
-    if broken:
-        finding = report.add(Finding(
-            manifest_path, "manifest",
-            "missing or unparseable",
-            action="rebuilt from the journal",
-        ))
-        if repair:
-            header = record.header
-            write_manifest(run_dir, {
-                "run_id": record.run_id,
-                "status": record.finished_status or "running",
-                "pid": header.get("pid"),
-                "started": header.get("started"),
-                "argv": header.get("argv"),
-                "experiments": header.get("experiments"),
-                "jobs_scheduled": len(record.scheduled),
-                "jobs_completed": len(record.completed),
-                "jobs_failed": len(record.failed),
-                "rebuilt_by": "repro-fsck",
-            })
-            finding.repaired = True
-    elif record.status() == "crashed":
-        report.add(Finding(
-            manifest_path, "manifest",
-            f"run {record.run_id} crashed "
-            f"({len(record.completed)}/{len(record.scheduled)} jobs "
-            "durable) — resumable with --resume",
-            damage=False,
-        ))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fsck",
         description="Offline integrity sweep over trace-store entries, "
-        "result-cache shards, the sqlite catalog, and run journals.",
+        "result-cache shards, and run journals.",
     )
     parser.add_argument(
         "--cache-dir", action="append", default=[], metavar="DIR",
-        help="result-cache directory to sweep (shards, catalog, "
-        "runs/ journals); repeatable",
+        help="result-cache directory to sweep (shards and runs/ "
+        "journals); repeatable",
     )
     parser.add_argument(
         "--trace-store", action="append", default=[], metavar="DIR",
@@ -357,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair", action="store_true",
         help="route damage through the quarantine paths (corrupt "
         "entries moved aside with reason files, journals truncated to "
-        "their valid prefix, manifests rebuilt, strays removed)",
+        "their valid prefix, strays removed)",
     )
     parser.add_argument(
         "--quiet", action="store_true",

@@ -1,16 +1,17 @@
 """``repro-report``: render a human summary of one journaled run.
 
-Reads the run directory's three artifacts — ``manifest.json`` (status),
-the write-ahead journal (job lifecycle, timestamps), and the telemetry
-plane's ``metrics.json`` (counters, phase timers, per-job spans) — and
-prints a run report: header, job outcomes, a per-kind throughput table,
-fault counters, the slowest jobs, and the hot-path phase breakdown.
+Reads the run directory's two artifacts — the write-ahead journal
+(status, job lifecycle, timestamps) and the telemetry plane's
+``metrics.json`` (counters, phase timers, per-job spans) — and prints a
+run report: header, job outcomes, a per-kind throughput table, fault
+counters, the slowest jobs, and the hot-path phase breakdown.
 
 Degrades gracefully: a crashed run has no ``metrics.json`` (it is
 written at run end), so the report falls back to the journal alone —
 job counts and wall times come from the journal's per-event ``t``
 timestamps and the summary says so. A resumed run names the run that
-superseded it (and vice versa).
+superseded it (and vice versa), linked through the resuming run's
+journal header.
 
 Usage::
 
@@ -189,7 +190,6 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
             }
 
     status = record.status()
-    resumed_by = record.manifest.get("resumed_by")
     resumed_from = record.header.get("resumed_from")
     faults = {
         name: engine_counter(name)
@@ -200,10 +200,9 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
         "run": record.run_id,
         "status": status,
         "started": record.started or None,
-        "experiments": record.header.get("experiments")
-        or record.manifest.get("experiments") or [],
+        "experiments": record.header.get("experiments") or [],
         "argv": record.header.get("argv"),
-        "resumed_by": resumed_by,
+        "resumed_by": record.resumed_by,
         "resumed_from": resumed_from,
         "telemetry": metrics is not None,
         "timings_from": timed_source,

@@ -1,22 +1,21 @@
 """Trace containers: materialized and streaming access sequences.
 
 :class:`Trace` is an ordered in-memory collection of MemoryAccess records
-plus metadata (workload name, category, generation parameters) and
-persistence. :class:`TraceSource` is its lazy counterpart — the same
+plus metadata (workload name, category, generation parameters).
+:class:`TraceSource` is its lazy counterpart — the same
 metadata plus a factory that yields accesses on demand, so the whole
 pipeline (coverage driver, incremental timing model, streaming analyses)
 can walk arbitrarily long traces in O(1) memory. ``materialize()`` —
 the identity on a :class:`Trace` — drains a source into memory; the
 engine never does, and the few consumers that genuinely need random
-access or ``len()`` (``simulate_timing`` over a recorded service list,
-trace persistence) take a :class:`Trace` directly.
+access or ``len()`` (``simulate_timing`` over a recorded service list)
+take a :class:`Trace` directly. Traces persist only in the trace store's
+binary codec (:mod:`repro.tracestore`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.trace.events import MemoryAccess
@@ -76,43 +75,6 @@ class Trace:
     def materialize(self) -> "Trace":
         """A :class:`Trace` is already materialized; returns itself."""
         return self
-
-    # -- persistence ------------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON-lines (one access per line after a header)."""
-        path = Path(path)
-        with path.open("w") as handle:
-            header = {
-                "name": self.name,
-                "category": self.category,
-                "metadata": self.metadata,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for a in self.accesses:
-                record = [a.pc, a.address, int(a.is_write), a.depends_on, a.instr_gap]
-                handle.write(json.dumps(record) + "\n")
-
-    @staticmethod
-    def load(path: Union[str, Path]) -> "Trace":
-        path = Path(path)
-        with path.open() as handle:
-            header = json.loads(handle.readline())
-            trace = Trace(
-                name=header["name"],
-                category=header.get("category", "synthetic"),
-                metadata=header.get("metadata", {}),
-            )
-            for line in handle:
-                pc, address, is_write, depends_on, instr_gap = json.loads(line)
-                trace.append(
-                    pc=pc,
-                    address=address,
-                    is_write=bool(is_write),
-                    depends_on=depends_on,
-                    instr_gap=instr_gap,
-                )
-        return trace
 
 
 class TraceSource:

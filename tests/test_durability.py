@@ -16,11 +16,14 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
 from repro.engine import (
@@ -43,11 +46,14 @@ from repro.engine.journal import (
     encode_line,
     read_journal,
 )
+from repro.tools.fsck import main as fsck_main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = ("apache", "em3d")
 LENGTH = 2500
 SEED = 1
+#: a pid beyond any real one here: forges a dead writer into a header
+DEAD_PID = 2 ** 22 + 1
 
 
 @pytest.fixture(autouse=True)
@@ -145,7 +151,6 @@ class TestRunJournal:
         _, jobs = build_graph()
         journal = RunJournal.create(
             root, header={"argv": ["fig9"], "experiments": ["fig9"]},
-            fsync=False,
         )
         for job in jobs:
             journal.job_scheduled(job)
@@ -163,19 +168,43 @@ class TestRunJournal:
         assert record.resumable()
         assert record.argv == ["fig9"]
 
+    def test_unsealed_journal_is_running_while_its_pid_lives(self, tmp_path):
+        root = tmp_path / "runs"
+        journal = RunJournal.create(root, header={"argv": []})
+        journal.close()
+        # the header records this (live) process as the writer
+        record = load_run(root / journal.run_id)
+        assert record.status() == "running"
+        assert not record.resumable()
+
     def test_unsealed_journal_with_dead_pid_is_crashed(self, tmp_path):
         root = tmp_path / "runs"
-        journal = RunJournal.create(root, header={"argv": []}, fsync=False)
+        # forge a dead pid into the header (the writer's own is alive)
+        journal = RunJournal.create(
+            root, header={"argv": [], "pid": DEAD_PID}
+        )
         journal.close()
-        # forge a dead pid into the manifest (the writer's own is alive)
-        manifest_path = root / journal.run_id / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["status"] == "running"
-        manifest["pid"] = 2 ** 22 + 1  # beyond any real pid here
-        manifest_path.write_text(json.dumps(manifest))
         record = load_run(root / journal.run_id)
         assert record.status() == "crashed"
         assert record.resumable()
+
+    def test_status_comes_from_the_journal_alone(self, tmp_path):
+        root = tmp_path / "runs"
+        journal = RunJournal.create(root, header={"argv": []})
+        journal.finish("clean")
+        run_dir = root / journal.run_id
+        assert [p.name for p in run_dir.iterdir()] == ["journal.jsonl"]
+        record = load_run(run_dir)
+        assert record.status() == "clean"
+        assert not record.resumable()
+        # a stale summary beside the journal (an older version, or a kill
+        # between the seal and a rewrite of it) must not override the seal
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"status": "running", "pid": DEAD_PID})
+        )
+        record = load_run(run_dir)
+        assert record.status() == "clean"
+        assert not record.resumable()
 
     def test_bad_run_ids_rejected(self, tmp_path):
         root = tmp_path / "runs"
@@ -183,23 +212,22 @@ class TestRunJournal:
             RunJournal.create(root, run_id="../escape")
         with pytest.raises(JournalError):
             RunJournal.create(root, run_id="")
-        RunJournal.create(root, run_id="ok-1", fsync=False).close()
+        RunJournal.create(root, run_id="ok-1").close()
         with pytest.raises(JournalError):
             RunJournal.create(root, run_id="ok-1")
 
     def test_finish_rejects_non_terminal_status(self, tmp_path):
-        journal = RunJournal.create(tmp_path / "runs", fsync=False)
+        journal = RunJournal.create(tmp_path / "runs")
         with pytest.raises(JournalError):
             journal.finish("running")
         journal.close()
 
     def test_list_and_find(self, tmp_path):
         root = tmp_path / "runs"
-        first = RunJournal.create(root, run_id="a-1",
-                                  header={"argv": ["x"]}, fsync=False)
+        first = RunJournal.create(root, run_id="a-1", header={"argv": ["x"]})
         first.finish("clean")
         second = RunJournal.create(root, run_id="b-2",
-                                   header={"argv": ["y"]}, fsync=False)
+                                   header={"argv": ["y"]})
         second.finish("degraded")
         assert [r.run_id for r in list_runs(root)] == ["a-1", "b-2"]
         assert find_run(root, "last").run_id == "b-2"
@@ -208,6 +236,59 @@ class TestRunJournal:
             find_run(root, "nope")
         with pytest.raises(JournalError):
             find_run(tmp_path / "empty", "last")
+
+
+@pytest.fixture(scope="module")
+def sealed_journal(tmp_path_factory) -> "tuple[str, bytes]":
+    """``(run_id, bytes)`` of a sealed three-job journal whose header
+    carries a dead pid — built once, then cut at many points."""
+    _, jobs = build_graph()
+    root = tmp_path_factory.mktemp("runs")
+    journal = RunJournal.create(
+        root, header={"argv": ["fig9"], "pid": DEAD_PID}
+    )
+    for job in jobs[:3]:
+        journal.job_scheduled(job)
+    for job in jobs[:3]:
+        journal.attempt_started(job.job_hash, 1)
+        journal.job_completed(job)
+    journal.finish("clean")
+    raw = (root / journal.run_id / "journal.jsonl").read_bytes()
+    return journal.run_id, raw
+
+
+class TestTornJournalTails:
+    # the cut is drawn as a fraction: the journal's length varies from
+    # process to process (timestamps, run id), so an integer drawn over
+    # it would not replay deterministically
+    @settings(deadline=None, max_examples=60)
+    @given(fraction=st.floats(min_value=0.0, max_value=1.0))
+    def test_any_cut_reads_back_and_repairs_to_its_valid_prefix(
+        self, sealed_journal, fraction
+    ):
+        run_id, raw = sealed_journal
+        cut = raw[:int(fraction * len(raw))]
+        with tempfile.TemporaryDirectory() as tmp:
+            cache_dir = Path(tmp)
+            run_dir = runs_root(cache_dir) / run_id
+            run_dir.mkdir(parents=True)
+            journal_path = run_dir / "journal.jsonl"
+            journal_path.write_bytes(cut)
+
+            record = load_run(run_dir)
+            valid = cut[:record.valid_bytes]
+            # exactly the newline-terminated lines of the cut survive
+            assert valid == cut[:cut.rfind(b"\n") + 1]
+            torn = valid != cut
+            assert (record.damage is not None) == torn
+            assert record.status() == ("clean" if cut == raw else "crashed")
+
+            sweep = ["--cache-dir", str(cache_dir), "--quiet"]
+            assert fsck_main(sweep) == (1 if torn else 0)
+            if torn:
+                assert fsck_main(sweep + ["--repair"]) == 0
+                assert journal_path.read_bytes() == valid
+                assert fsck_main(sweep) == 0
 
 
 class TestJobReconstruction:
@@ -234,7 +315,7 @@ class TestJobReconstruction:
     def test_record_jobs_verifies_hashes(self, tmp_path):
         root = tmp_path / "runs"
         _, jobs = build_graph()
-        journal = RunJournal.create(root, header={"argv": []}, fsync=False)
+        journal = RunJournal.create(root, header={"argv": []})
         for job in jobs[:2]:
             journal.job_scheduled(job)
         journal.close()
@@ -256,9 +337,9 @@ class TestEngineJournaling:
     def test_every_job_scheduled_and_completed(self, tmp_path):
         graph, jobs = build_graph()
         root = runs_root(tmp_path / "cache")
-        journal = RunJournal.create(root, header={"argv": []}, fsync=False)
-        with Engine(cache_dir=tmp_path / "cache", journal=journal) as engine:
-            engine.run(graph)
+        journal = RunJournal.create(root, header={"argv": []})
+        engine = Engine(cache_dir=tmp_path / "cache", journal=journal)
+        engine.run(graph)
         journal.finish("clean")
         record = load_run(root / journal.run_id)
         hashes = {j.job_hash for j in jobs}
@@ -274,13 +355,13 @@ class TestEngineJournaling:
 
     def test_cache_hits_journal_as_cache_sourced(self, tmp_path):
         graph, jobs = build_graph()
-        with Engine(cache_dir=tmp_path / "cache") as engine:
-            engine.run(graph)
+        engine = Engine(cache_dir=tmp_path / "cache")
+        engine.run(graph)
         root = runs_root(tmp_path / "cache")
-        journal = RunJournal.create(root, header={"argv": []}, fsync=False)
+        journal = RunJournal.create(root, header={"argv": []})
         graph2, _ = build_graph()
-        with Engine(cache_dir=tmp_path / "cache", journal=journal) as engine:
-            engine.run(graph2)
+        engine = Engine(cache_dir=tmp_path / "cache", journal=journal)
+        engine.run(graph2)
         assert engine.stats.cache_hits == len(jobs)
         journal.finish("clean")
         record = load_run(root / journal.run_id)
@@ -290,16 +371,16 @@ class TestEngineJournaling:
         graph, _ = build_graph()
         stop = threading.Event()
         stop.set()
-        with Engine(cache_dir=tmp_path / "cache", interrupt=stop) as engine:
-            with pytest.raises(RunInterrupted):
-                engine.run(graph)
+        engine = Engine(cache_dir=tmp_path / "cache", interrupt=stop)
+        with pytest.raises(RunInterrupted):
+            engine.run(graph)
         assert engine.stats.executed == 0
 
     def test_interrupt_mid_run_keeps_completed_results(self, tmp_path):
         graph, jobs = build_graph()
         stop = threading.Event()
         root = runs_root(tmp_path / "cache")
-        journal = RunJournal.create(root, header={"argv": []}, fsync=False)
+        journal = RunJournal.create(root, header={"argv": []})
         fired = {"at": None}
         original = journal.job_completed
 
@@ -310,10 +391,10 @@ class TestEngineJournaling:
                 stop.set()
 
         journal.job_completed = complete_then_stop
-        with Engine(cache_dir=tmp_path / "cache", journal=journal,
-                    interrupt=stop) as engine:
-            with pytest.raises(RunInterrupted) as info:
-                engine.run(graph)
+        engine = Engine(cache_dir=tmp_path / "cache", journal=journal,
+                        interrupt=stop)
+        with pytest.raises(RunInterrupted) as info:
+            engine.run(graph)
         journal.finish("interrupted")
         assert info.value.completed == 3
         record = load_run(root / journal.run_id)
@@ -321,8 +402,8 @@ class TestEngineJournaling:
         assert len(record.incomplete()) == len(jobs) - 3
         # and a fresh engine over the same cache finishes only the rest
         graph2, _ = build_graph()
-        with Engine(cache_dir=tmp_path / "cache") as engine2:
-            engine2.run(graph2)
+        engine2 = Engine(cache_dir=tmp_path / "cache")
+        engine2.run(graph2)
         assert engine2.stats.cache_hits == 3
         assert engine2.stats.executed == len(jobs) - 3
 
@@ -380,7 +461,7 @@ class TestInterruptionSemantics:
         assert proc.returncode == 3, stderr
         record = find_run(runs_root(tmp_path / "cache"), "last")
         assert record.finished_status == "interrupted"
-        assert record.manifest["status"] == "interrupted"
+        assert record.status() == "interrupted"
         assert record.resumable()
         assert "--resume" in stderr
         # the journal was flushed: scheduled events are all present
@@ -463,9 +544,14 @@ class TestInterruptionSemantics:
         assert sorted(new_record.completed.values()).count("cache") == (
             durable
         )
-        # the superseded run points at its successor
-        old = load_run(record.directory)
-        assert old.manifest["resumed_by"] == new_record.run_id
+        # the superseded run points at its successor, derived from the
+        # successor's header: nothing was written into the old run
+        old = find_run(runs_root(tmp_path / "cache"), record.run_id)
+        assert old.resumed_by == new_record.run_id
+        assert new_record.header["resumed_from"] == record.run_id
+        assert not list(
+            runs_root(tmp_path / "cache").glob("*/manifest.json")
+        )
 
     def test_list_runs_reports_status(self, tmp_path):
         killed = subprocess.run(
@@ -501,7 +587,6 @@ class TestInterruptionSemantics:
         journal = RunJournal.create(
             runs_root(cache),
             header={"argv": ["fig9", "--small", "--kernel", "python"]},
-            fsync=False,
         )
         journal.finish("interrupted")
         code = main(["--resume", journal.run_id, "--cache-dir", str(cache)])

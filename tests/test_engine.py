@@ -154,55 +154,6 @@ class TestCacheSharding:
         assert path.parent.name == job.job_hash[:2]
         assert path.parent.parent == tmp_path
 
-    def test_flat_legacy_entry_migrates_transparently(self, system, tmp_path):
-        graph = JobGraph()
-        job = graph.add(coverage_job(system, "stride"))
-        first = Engine(cache_dir=tmp_path)
-        result = first.run(graph)[job]
-        cache = ResultCache(tmp_path)
-        sharded = cache.path_for(job)
-        flat = tmp_path / sharded.name  # demote to the pre-sharding layout
-        sharded.rename(flat)
-
-        engine = Engine(cache_dir=tmp_path)
-        assert engine.run(graph)[job] == result
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.executed == 0
-        assert sharded.is_file() and not flat.exists()
-
-    def test_readonly_legacy_cache_served_in_place(
-        self, system, tmp_path, monkeypatch
-    ):
-        import shutil
-
-        graph = JobGraph()
-        job = graph.add(coverage_job(system, "stride"))
-        result = Engine(cache_dir=tmp_path).run(graph)[job]
-        cache = ResultCache(tmp_path)
-        sharded = cache.path_for(job)
-        flat = tmp_path / sharded.name
-        sharded.rename(flat)
-        shutil.rmtree(sharded.parent)
-
-        def denied(*args, **kwargs):
-            raise PermissionError(13, "read-only cache")
-
-        # a read-only cache directory: migration must fail gracefully
-        # and the flat entry must still be served from where it is
-        monkeypatch.setattr("repro.engine.cache.os.replace", denied)
-        assert cache.load(job) == result
-        assert flat.is_file() and not sharded.exists()
-
-    def test_sqlite_index_catalogs_entries(self, system, tmp_path):
-        cache = ResultCache(tmp_path, index=True)
-        job = coverage_job(system, "stride")
-        cache.store(job, execute_job(job))
-        assert list(cache.indexed_hashes()) == [job.job_hash]
-        assert cache.entry_count() == 1
-        assert (tmp_path / "index.sqlite").is_file()
-        # the index is optional: a plain cache still counts via shards
-        assert ResultCache(tmp_path).entry_count() == 1
-
 
 class TestParallelEqualsSerial:
     def test_coverage_results_identical(self, system):

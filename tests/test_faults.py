@@ -66,8 +66,8 @@ def build_graph() -> "tuple[JobGraph, list[SimJob]]":
 def reference():
     """Fault-free results every injected run must reproduce exactly."""
     graph, jobs = build_graph()
-    with Engine(jobs=1) as engine:
-        results = engine.run(graph)
+    engine = Engine(jobs=1)
+    results = engine.run(graph)
     assert not engine.stats.degraded
     return {job.job_hash: results[job] for job in jobs}
 
@@ -179,9 +179,9 @@ class TestCrashRecovery:
         # the unluckiest job (deterministically) crashes 3 times before
         # its first clean attempt — give the ladder room
         policy = RetryPolicy(attempts=5, backoff=0.0)
-        with Engine(jobs=1, trace_store=tmp_path / "traces",
-                    retry=policy) as engine:
-            results = engine.run(graph)
+        engine = Engine(jobs=1, trace_store=tmp_path / "traces",
+                        retry=policy)
+        results = engine.run(graph)
         assert not results.failures()
         assert_identical(results, reference, jobs)
         assert engine.stats.retries > 0
@@ -193,9 +193,9 @@ class TestCrashRecovery:
         monkeypatch.setenv(ENV_VAR, "worker_crash:0.4@seed=3")
         graph, jobs = build_graph()
         policy = RetryPolicy(attempts=5, backoff=0.01)
-        with Engine(jobs=2, trace_store=tmp_path / "traces",
-                    retry=policy) as engine:
-            results = engine.run(graph)
+        engine = Engine(jobs=2, trace_store=tmp_path / "traces",
+                        retry=policy)
+        results = engine.run(graph)
         assert not results.failures()
         assert_identical(results, reference, jobs)
         assert engine.stats.retries > 0
@@ -206,8 +206,8 @@ class TestCrashRecovery:
     ):
         monkeypatch.setenv(ENV_VAR, "job_fail:1")
         graph, jobs = build_graph()
-        with Engine(jobs=1, retry=RetryPolicy(attempts=2, backoff=0.0)) as engine:
-            results = engine.run(graph)
+        engine = Engine(jobs=1, retry=RetryPolicy(attempts=2, backoff=0.0))
+        results = engine.run(graph)
         failures = results.failures()
         assert len(failures) == len(jobs)
         for failure in failures:
@@ -221,24 +221,24 @@ class TestCrashRecovery:
     def test_strict_mode_raises_instead(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "job_fail:1")
         graph, _ = build_graph()
-        with Engine(jobs=1, retry=RetryPolicy(attempts=2, backoff=0.0),
-                    strict=True) as engine:
-            with pytest.raises(JobExecutionError) as excinfo:
-                engine.run(graph)
+        engine = Engine(jobs=1, retry=RetryPolicy(attempts=2, backoff=0.0),
+                        strict=True)
+        with pytest.raises(JobExecutionError) as excinfo:
+            engine.run(graph)
         assert excinfo.value.failure.error_type == "InjectedFault"
 
     def test_failures_are_never_cached(self, tmp_path, monkeypatch, reference):
         monkeypatch.setenv(ENV_VAR, "job_fail:1")
         graph, jobs = build_graph()
-        with Engine(jobs=1, cache_dir=tmp_path / "cache",
-                    retry=RetryPolicy(attempts=2, backoff=0.0)) as engine:
-            assert engine.run(graph).failures()
+        engine = Engine(jobs=1, cache_dir=tmp_path / "cache",
+                        retry=RetryPolicy(attempts=2, backoff=0.0))
+        assert engine.run(graph).failures()
         # with injection off, nothing poisoned the cache: a clean rerun
         # re-executes everything and matches the reference
         monkeypatch.delenv(ENV_VAR)
         graph2, _ = build_graph()
-        with Engine(jobs=1, cache_dir=tmp_path / "cache") as engine2:
-            results = engine2.run(graph2)
+        engine2 = Engine(jobs=1, cache_dir=tmp_path / "cache")
+        results = engine2.run(graph2)
         assert engine2.stats.cache_hits == 0
         assert_identical(results, reference, jobs)
 
@@ -253,13 +253,13 @@ class TestTraceQuarantine:
         monkeypatch.setenv(ENV_VAR, "trace_corrupt:1")
         # run 1 records (and the harness corrupts) every entry
         graph, jobs = build_graph()
-        with Engine(jobs=1, trace_store=store_dir) as engine:
-            assert_identical(engine.run(graph), reference, jobs)
+        engine = Engine(jobs=1, trace_store=store_dir)
+        assert_identical(engine.run(graph), reference, jobs)
         # run 2 replays the damage: every entry must be quarantined and
         # regenerated, and results still match
         graph2, _ = build_graph()
-        with Engine(jobs=1, trace_store=store_dir) as engine2:
-            results = engine2.run(graph2)
+        engine2 = Engine(jobs=1, trace_store=store_dir)
+        results = engine2.run(graph2)
         assert_identical(results, reference, jobs)
         assert engine2.stats.quarantined == len(WORKLOADS)
         assert engine2.stats.replay_fallbacks == len(WORKLOADS)
@@ -282,9 +282,9 @@ class TestTraceQuarantine:
         # same run — tests/test_broadcast.py covers that plane
         monkeypatch.setenv(ENV_VAR, "trace_corrupt:1")
         graph, jobs = build_graph()
-        with Engine(jobs=2, trace_store=tmp_path / "traces",
-                    broadcast="off") as engine:
-            results = engine.run(graph)
+        engine = Engine(jobs=2, trace_store=tmp_path / "traces",
+                        broadcast="off")
+        results = engine.run(graph)
         assert not results.failures()
         assert_identical(results, reference, jobs)
         assert engine.stats.quarantined > 0
@@ -309,14 +309,14 @@ class TestCacheQuarantine:
         cache_dir = tmp_path / "cache"
         monkeypatch.setenv(ENV_VAR, "cache_corrupt:1")
         graph, jobs = build_graph()
-        with Engine(jobs=1, cache_dir=cache_dir) as engine:
-            assert_identical(engine.run(graph), reference, jobs)
+        engine = Engine(jobs=1, cache_dir=cache_dir)
+        assert_identical(engine.run(graph), reference, jobs)
         monkeypatch.delenv(ENV_VAR)
         # every stored shard was corrupted: the rerun must detect each,
         # warn on stderr, quarantine, and transparently re-execute
         graph2, _ = build_graph()
-        with Engine(jobs=1, cache_dir=cache_dir) as engine2:
-            results = engine2.run(graph2)
+        engine2 = Engine(jobs=1, cache_dir=cache_dir)
+        results = engine2.run(graph2)
         assert_identical(results, reference, jobs)
         assert engine2.stats.cache_hits == 0
         assert engine2.stats.executed == len(jobs)
@@ -327,16 +327,16 @@ class TestCacheQuarantine:
         assert len(list((cache_dir / "quarantine").glob("*.json"))) == len(jobs)
         # and the rerun repopulated the cache with good entries
         graph3, _ = build_graph()
-        with Engine(jobs=1, cache_dir=cache_dir) as engine3:
-            engine3.run(graph3)
+        engine3 = Engine(jobs=1, cache_dir=cache_dir)
+        engine3.run(graph3)
         assert engine3.stats.cache_hits == len(jobs)
 
     def test_stale_version_is_a_quiet_miss_not_corruption(
         self, tmp_path, capsys
     ):
         graph, jobs = build_graph()
-        with Engine(jobs=1, cache_dir=tmp_path) as engine:
-            engine.run(graph)
+        engine = Engine(jobs=1, cache_dir=tmp_path)
+        engine.run(graph)
         cache = ResultCache(tmp_path)
         path = cache.path_for(jobs[0])
         document = json.loads(path.read_text())
@@ -353,8 +353,8 @@ class TestTimeouts:
         monkeypatch.setenv(ENV_VAR, "stall:1@secs=30")
         graph, jobs = build_graph()
         policy = RetryPolicy(attempts=2, backoff=0.01, timeout=0.5)
-        with Engine(jobs=2, retry=policy) as engine:
-            results = engine.run(graph)
+        engine = Engine(jobs=2, retry=policy)
+        results = engine.run(graph)
         failures = results.failures()
         assert len(failures) == len(jobs)
         assert all(f.error_type == "TimeoutError" for f in failures)
@@ -418,14 +418,6 @@ class TestRunnerExitCodes:
 
 
 class TestLifecycle:
-    def test_engine_and_cache_are_context_managers(self, tmp_path):
-        with Engine(jobs=1, cache_dir=tmp_path) as engine:
-            assert engine.cache is not None
-        with ResultCache(tmp_path, index=True) as cache:
-            assert cache._index_db is not None
-        assert cache._index_db is None  # closed on exit
-        cache.close()  # idempotent
-
     def test_attempt_log_builds_failure(self):
         log = AttemptLog("hash", "label")
         log.record(ValueError("first"))

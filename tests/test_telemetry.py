@@ -515,16 +515,12 @@ class TestReportTool:
         root = runs_root(tmp_path / "cache")
         graph, jobs = build_graph()
         journal = RunJournal.create(
-            root, header={"argv": ["fig9"], "experiments": ["fig9"]},
-            fsync=False,
+            root, header={"argv": ["fig9"], "experiments": ["fig9"],
+                          "pid": 2 ** 22 + 1},  # beyond any real pid here
         )
-        with Engine(cache_dir=tmp_path / "cache", journal=journal) as engine:
-            engine.run(graph)
+        engine = Engine(cache_dir=tmp_path / "cache", journal=journal)
+        engine.run(graph)
         journal.close()  # no finish(): unsealed
-        manifest_path = root / journal.run_id / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["pid"] = 2 ** 22 + 1  # beyond any real pid here
-        manifest_path.write_text(json.dumps(manifest))
 
         rc = report_main([journal.run_id,
                           "--cache-dir", str(tmp_path / "cache")])
@@ -621,6 +617,32 @@ class TestFsckTelemetry:
         assert "[repaired] telemetry" in out
         assert not (run_dir / METRICS_NAME).exists()
         assert list((run_dir / "quarantine").iterdir())
+
+    def test_failed_rename_leaves_a_stray_fsck_removes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == METRICS_NAME:
+                raise OSError(28, "No space left on device")
+            return real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.telemetry.os.replace", replace)
+            # a telemetry write failure never changes the run's outcome
+            assert runner_main(_runner_argv(tmp_path)) == 0
+        run_dir = _run_dir(tmp_path)
+        assert not (run_dir / METRICS_NAME).exists()
+        strays = list(run_dir.glob(f"{METRICS_NAME}.tmp.*"))
+        assert len(strays) == 1
+        capsys.readouterr()
+        sweep = ["--cache-dir", str(tmp_path / "cache")]
+        assert fsck_main(sweep) == 1
+        assert "stray temp file" in capsys.readouterr().out
+        assert fsck_main(sweep + ["--repair"]) == 0
+        assert not strays[0].exists()
+        assert fsck_main(sweep) == 0
 
     def test_orphaned_telemetry_noted(self, tmp_path, capsys):
         orphan = tmp_path / "cache" / "runs" / "ghost"

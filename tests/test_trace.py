@@ -1,4 +1,4 @@
-"""Tests for trace records, containers, persistence and statistics."""
+"""Tests for trace records, containers and statistics."""
 
 import pytest
 
@@ -46,21 +46,6 @@ class TestTrace:
         trace.append(pc=1, address=0)
         assert trace[0].address == 0
         assert [a.pc for a in trace] == [1]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = Trace("roundtrip", category="oltp", metadata={"seed": 9})
-        trace.append(pc=1, address=64, instr_gap=7)
-        trace.append(pc=2, address=128, is_write=True, depends_on=0)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert loaded.name == "roundtrip"
-        assert loaded.category == "oltp"
-        assert loaded.metadata["seed"] == 9
-        assert len(loaded) == 2
-        assert loaded[1].depends_on == 0
-        assert loaded[1].is_write
-        assert loaded[0].instr_gap == 7
 
 
 class TestTraceStats:
