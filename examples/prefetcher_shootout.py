@@ -20,9 +20,9 @@ from repro import (
     TMSPrefetcher,
     WORKLOAD_NAMES,
     make_workload,
-    simulate_timing,
 )
 from repro.prefetch.composite import CompositePrefetcher
+from repro.sim import TimingModel
 
 
 def main() -> None:
@@ -38,12 +38,11 @@ def main() -> None:
 
     baseline = SimulationDriver(system, None).run(trace)
     base_misses = max(1, baseline.uncovered)
+    stride_model = TimingModel(system.timing, measure_from=warm)
     stride_run = SimulationDriver(
-        system, StridePrefetcher(), record_service=True
+        system, StridePrefetcher(), service_consumer=stride_model
     ).run(trace)
-    stride_timing = simulate_timing(
-        trace, stride_run.service, system.timing, measure_from=warm
-    )
+    stride_timing = stride_model.finalize()
 
     print(f"workload {workload}: {base_misses} baseline off-chip read misses")
     print(f"{'predictor':<8} {'coverage':>9} {'overpred':>9} "
@@ -60,12 +59,11 @@ def main() -> None:
     }
     for name, factory in factories.items():
         coverage_run = SimulationDriver(system, factory()).run(trace)
-        timing_run = SimulationDriver(
-            system, CompositePrefetcher(factory()), record_service=True
+        model = TimingModel(system.timing, measure_from=warm)
+        SimulationDriver(
+            system, CompositePrefetcher(factory()), service_consumer=model
         ).run(trace)
-        timing = simulate_timing(
-            trace, timing_run.service, system.timing, measure_from=warm
-        )
+        timing = model.finalize()
         print(f"{name:<8} {coverage_run.covered / base_misses:>9.1%} "
               f"{coverage_run.overpredictions / base_misses:>9.1%} "
               f"{coverage_run.accuracy:>9.1%} "

@@ -5,13 +5,17 @@ Public API quick tour::
     from repro import (
         SystemConfig, STeMSPrefetcher, SimulationDriver, make_workload,
     )
+    from repro.sim import TimingModel
 
+    system = SystemConfig.scaled()
     trace = make_workload("db2").generate(100_000, seed=42)
-    driver = SimulationDriver(SystemConfig.scaled(), STeMSPrefetcher(),
-                              record_service=True)
+    timing = TimingModel(system.timing, workload="db2")
+    driver = SimulationDriver(system, STeMSPrefetcher(),
+                              service_consumer=timing)
     result = driver.run(trace)
     print(f"coverage {result.coverage:.1%}, "
-          f"overpredictions {result.overprediction_rate:.1%}")
+          f"overpredictions {result.overprediction_rate:.1%}, "
+          f"IPC {timing.finalize().ipc:.2f}")
 
 Subpackages:
 
@@ -48,7 +52,7 @@ from repro.sim import CoverageResult, SimulationDriver, TimingResult, simulate_t
 from repro.trace import MemoryAccess, Trace
 from repro.workloads import WORKLOAD_NAMES, make_workload
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "AddressMap",

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
 from repro.common.config import SystemConfig
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
 from repro.memsys.hierarchy import Hierarchy, ServiceLevel
 from repro.prefetch.sms.generations import ActiveGenerationTable
-from repro.telemetry import PHASE_FINALIZE, PHASE_WALK, phases_active
 from repro.trace.events import MemoryAccess
 
 
@@ -107,19 +105,9 @@ class StreamingAnalysis(abc.ABC):
             Whatever :meth:`finalize` returns.
         """
         update_block = self.update_block
-        timer = phases_active()
-        if timer is None:
-            for chunk in iter_trace_chunks(accesses):
-                update_block(chunk)
-            return self.finalize()
         for chunk in iter_trace_chunks(accesses):
-            start = perf_counter()
             update_block(chunk)
-            timer.add(PHASE_WALK, perf_counter() - start)
-        start = perf_counter()
-        result = self.finalize()
-        timer.add(PHASE_FINALIZE, perf_counter() - start)
-        return result
+        return self.finalize()
 
     @abc.abstractmethod
     def _update(self, access: MemoryAccess) -> None:

@@ -9,14 +9,14 @@ layers:
 * **Graph** (:mod:`repro.engine.graph`) — experiments declare jobs into
   a :class:`JobGraph`, which deduplicates identical work across figures
   (the shared no-prefetcher baselines, for example).
-* **Execution** (:mod:`repro.engine.engine` / :mod:`repro.engine.exec`
-  / :mod:`repro.engine.fanout`) — the :class:`Engine` satisfies jobs
-  from an on-disk result cache, then runs the rest serially (fanning
-  one trace walk out to every job sharing a
-  :attr:`~repro.engine.job.SimJob.trace_key`) or over a process pool
-  (replaying recorded traces from a
-  :class:`~repro.tracestore.TraceStore` when one is attached); results
-  are bit-identical across modes because every job is self-contained.
+* **Execution** (:mod:`repro.engine.engine` / :mod:`repro.engine.exec`)
+  — the :class:`Engine` satisfies jobs from an on-disk result cache,
+  then runs the rest serially (fanning one trace walk out to every job
+  sharing a :attr:`~repro.engine.job.SimJob.trace_key`) or over a
+  process pool (replaying recorded traces from a
+  :class:`~repro.tracestore.TraceStore` when one is attached). Every
+  job, in every mode, is a consumer of :func:`run_group` — a solo job
+  is a group of one — so results are bit-identical across modes.
 
 Typical use::
 
@@ -30,8 +30,9 @@ Typical use::
 
 from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.engine import Engine, EngineStats, ResultMap
-from repro.engine.exec import build_prefetcher, execute_job, job_trace
-from repro.engine.fanout import job_consumer, run_group
+from repro.engine.exec import (
+    build_prefetcher, execute_job, job_consumer, job_trace, run_group,
+)
 from repro.engine.faultinject import FaultPlan
 from repro.engine.faults import (
     JobExecutionError,

@@ -13,7 +13,8 @@ Trace generation is scheduled as a shared resource (the *trace plane*):
 
 * **Serial** runs group pending jobs by
   :attr:`~repro.engine.job.SimJob.trace_key` and pump one trace walk
-  through every consumer in the group (:mod:`repro.engine.fanout`) — a
+  through every consumer in the group
+  (:func:`~repro.engine.exec.run_group`, the loop every job runs) — a
   sweep of N jobs over one key performs exactly one generation pass.
 * With a :class:`~repro.tracestore.TraceStore` attached
   (``trace_store=DIR`` / ``--trace-store``), that one pass is also
@@ -57,12 +58,12 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.exec import (
-    execute_job,
     execute_jobs_broadcast,
     execute_job_for_pool,
+    job_trace,
     record_trace_for_pool,
+    run_group,
 )
-from repro.engine.fanout import run_group
 from repro.engine.faultinject import active_plan, maybe_kill_run
 from repro.engine.faults import (
     AttemptLog,
@@ -81,7 +82,6 @@ from repro.tracestore.broadcast import (
     broadcast_supported,
     resolve_broadcast,
 )
-from repro.workloads.registry import stream_workload
 
 
 #: the legacy stat names, in their historical (display) order
@@ -466,8 +466,6 @@ class Engine:
         per-job solo execution under the retry ladder, so one bad job
         cannot sink its trace-key peers.
         """
-        stats = self.stats
-        store = self.trace_store
         journal = self.journal
         for job in group:
             # one dispatch per job even though the group shares a walk —
@@ -477,22 +475,17 @@ class Engine:
                 journal.attempt_started(job.job_hash, 1)
             self.telemetry.attempt_started(job.job_hash, 1)
         for _ in range(2):
-            accesses, generated = self._serial_pass(key)
             try:
-                results = run_group(group, accesses)
+                results = self._walk(group, 1)
             except Exception as error:
-                if store is not None and store.quarantine_if_damaged(
+                if self._quarantine_if_damaged(
                     key, f"replay failed mid-walk: {error}"
                 ):
-                    stats.quarantined += 1
-                    stats.replay_fallbacks += 1
                     continue  # the rerun regenerates (entry is gone)
                 break  # job-level failure: isolate below
-            stats.generation_passes += generated
-            stats.passes_saved += len(group) - generated
             yield from results
             return
-        stats.isolation_fallbacks += 1
+        self.stats.isolation_fallbacks += 1
         for job in group:
             yield job, self._solo_with_retries(job)
 
@@ -508,7 +501,6 @@ class Engine:
         regenerates instead of replaying the same damage.
         """
         log = log or AttemptLog(job.job_hash, job.label())
-        store = self.trace_store
         policy = self.retry
         journal = self.journal
         while True:
@@ -517,17 +509,12 @@ class Engine:
             if journal is not None:
                 journal.attempt_started(job.job_hash, attempt)
             self.telemetry.attempt_started(job.job_hash, attempt)
-            before = store.stats.as_dict() if store is not None else None
             try:
-                result = execute_job(job, store, attempt)
+                return self._walk([job], attempt)[0][1]
             except Exception as error:
-                if store is not None and store.quarantine_if_damaged(
+                self._quarantine_if_damaged(
                     job.trace_key, f"replay failed: {error}"
-                ):
-                    # the retry regenerates instead of replaying the
-                    # same damage
-                    self.stats.quarantined += 1
-                    self.stats.replay_fallbacks += 1
+                )
                 log.record(error)
                 if journal is not None:
                     journal.attempt_failed(
@@ -542,14 +529,38 @@ class Engine:
                     return self._give_up(log)
                 self.stats.retries += 1
                 policy.sleep_before_retry(job.job_hash, log.attempts)
-                continue
-            if store is not None:
-                delta = _stats_delta(store.stats.as_dict(), before)
-                self.stats.absorb_trace_stats(delta)
-                self.stats.passes_saved += 1 - delta.get("generated", 0)
-            else:
-                self.stats.generation_passes += 1
-            return result
+
+    def _walk(
+        self, jobs: "list[SimJob]", attempt: int
+    ) -> "list[tuple[SimJob, Any]]":
+        """One :func:`run_group` pass over ``jobs``' shared trace key.
+
+        Folds the walk's trace-plane cost into :attr:`stats`: the
+        store's accounting delta (replay, or record while walking), or
+        one generation pass without a store; every job not needing a
+        pass of its own counts as saved. A walk that raises folds nothing.
+        """
+        store = self.trace_store
+        before = store.stats.as_dict() if store is not None else None
+        results = run_group(jobs, job_trace(jobs[0], store), attempt)
+        if store is None:
+            delta = {"generated": 1}
+        else:
+            delta = _stats_delta(store.stats.as_dict(), before)
+        self.stats.absorb_trace_stats(delta)
+        self.stats.passes_saved += len(jobs) - delta["generated"]
+        return results
+
+    def _quarantine_if_damaged(self, key, reason: str) -> bool:
+        """Quarantine ``key``'s store entry if a failure left it damaged
+        (counted as a quarantine and a replay fallback), so the next
+        walk regenerates instead of replaying the damage."""
+        store = self.trace_store
+        if store is None or not store.quarantine_if_damaged(key, reason):
+            return False
+        self.stats.quarantined += 1
+        self.stats.replay_fallbacks += 1
+        return True
 
     def _give_up(self, log: AttemptLog) -> JobFailure:
         """Exhausted retries: surface (non-strict) or raise (strict)."""
@@ -559,26 +570,6 @@ class Engine:
             raise JobExecutionError(failure)
         print(f"[engine: {failure.summary()}]", file=sys.stderr)
         return failure
-
-    def _serial_pass(self, key) -> "tuple[Iterable, int]":
-        """One access pass for ``key`` plus its generation-pass cost.
-
-        With a store: replay a recorded entry (cost 0) or record during
-        the walk (cost 1, and the entry is published for later runs and
-        workers). Without: a plain generation pass (cost 1).
-        """
-        store = self.trace_store
-        if store is None:
-            return stream_workload(*key), 1
-        before = store.stats.as_dict()
-        source = store.source(key)
-        generated = 0 if store.stats.hits > before["hits"] else 1
-        # fold replay/recording accounting in after the walk completes,
-        # so bytes_replayed from the lazy iteration are captured
-        accounted = _AccountedSource(
-            source, store, before, self.stats, generated
-        )
-        return accounted, generated
 
     # -- parallel: broadcast waves, then per-job futures -------------------
 
@@ -805,12 +796,7 @@ class Engine:
         if status == "ok":
             return
         ring.abort()
-        store = self.trace_store
-        if store is not None and store.quarantine_if_damaged(
-            key, f"broadcast reader failed: {detail}"
-        ):
-            self.stats.quarantined += 1
-            self.stats.replay_fallbacks += 1
+        self._quarantine_if_damaged(key, f"broadcast reader failed: {detail}")
 
     def _charge_wave_job(
         self, job: SimJob, error: BaseException,
@@ -1205,33 +1191,3 @@ def _grouped_by_trace_key(
 
 def _stats_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in after}
-
-
-class _AccountedSource:
-    """A single-pass chunk view of a trace-store source that folds the
-    store's accounting delta (minus the generation passes the engine
-    already counted) into ``stats`` when the walk completes.
-
-    A recorded entry decodes whole stored chunks columnar; a
-    record-during-walk generation pass is batched generically with the
-    tee side effects intact.
-    """
-
-    __slots__ = ("_source", "_store", "_before", "_stats", "_generated")
-
-    def __init__(self, source, store: TraceStore, before: Dict[str, int],
-                 stats: EngineStats, generated: int) -> None:
-        self._source = source
-        self._store = store
-        self._before = before
-        self._stats = stats
-        self._generated = generated
-
-    def _fold(self) -> None:
-        delta = _stats_delta(self._store.stats.as_dict(), self._before)
-        delta["generated"] -= self._generated
-        self._stats.absorb_trace_stats(delta)
-
-    def iter_chunks(self):
-        yield from self._source.iter_chunks()
-        self._fold()

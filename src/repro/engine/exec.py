@@ -1,4 +1,4 @@
-"""Job execution: trace streaming, predictor construction, dispatch.
+"""Job execution: trace streaming, predictor construction, the job walk.
 
 This module is the worker side of the engine: :func:`execute_job` takes a
 picklable :class:`SimJob` and returns a picklable result dataclass, so it
@@ -7,11 +7,12 @@ runs identically inline (serial mode) and inside a
 either way because every job rebuilds its trace and predictor from the
 job's seeds alone.
 
-Every job kind runs **single-pass and O(1) in memory**: the
-trace is a re-iterable :class:`~repro.trace.container.TraceSource` whose
-accesses flow straight into the coverage driver / analysis consumers and
-are garbage the moment they are processed. A timing job shares one walk
-between coverage classification and the incremental
+Every job is an incremental consumer (:func:`job_consumer`), and
+:func:`run_group` is the one loop that walks a trace for jobs: one pass
+over a trace key feeds every consumer sharing it, chunk at a time. A
+solo job is a group of one, so every job kind runs **single-pass and
+O(1) in memory** in every mode. A timing job shares one walk between
+coverage classification and the incremental
 :class:`~repro.sim.timing.TimingModel` — no trace, no service list.
 When a :class:`~repro.tracestore.TraceStore` is supplied, the source
 replays the recorded binary trace (or records it during the first walk)
@@ -26,7 +27,7 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tracestore import TraceStore
@@ -46,6 +47,7 @@ from repro.engine.job import (
     PrefetcherSpec,
     SimJob,
 )
+from repro.kernels.prepass import iter_trace_chunks
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.composite import CompositePrefetcher
 from repro.prefetch.ghb import GHBPrefetcher
@@ -57,8 +59,12 @@ from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
 from repro.sim.driver import SimulationDriver
 from repro.sim.timing import TimingModel
-from repro.telemetry import process_registry, telemetry_enabled
+from repro.telemetry import (
+    PHASE_FINALIZE, PHASE_WALK, phases_active, process_registry,
+    telemetry_enabled,
+)
 from repro.trace.container import TraceLike
+from repro.trace.events import MemoryAccess
 from repro.workloads.registry import WORKLOAD_CATEGORIES, stream_workload
 
 
@@ -127,22 +133,20 @@ def build_prefetcher(
 
 def timing_model_for_job(job: SimJob) -> TimingModel:
     """The incremental ROB/MLP model a timing job's walk feeds."""
-    warm = int(job.length * float(job.param("warmup_fraction", 0.0)))
+    warmup = float(job.param("warmup_fraction", 0.0))
+    if not 0.0 <= warmup < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup}")
     return TimingModel(
         job.system.timing,
         workload=job.workload,
         prefetcher_name=job.prefetcher.kind if job.prefetcher else "none",
-        measure_from=warm,
+        measure_from=int(job.length * warmup),
     )
 
 
 def analysis_for_job(job: SimJob) -> Any:
-    """The :class:`StreamingAnalysis` consumer for an analysis-kind job.
-
-    Shared by the solo execution path (which drives ``consume(trace)``)
-    and the fan-out scheduler (which pushes ``update_block(chunk)`` from
-    a shared walk) so both construct identical analysis state.
-    """
+    """The :class:`StreamingAnalysis` consumer for an analysis-kind job
+    (fed ``update_block(chunk)`` by :func:`run_group`)."""
     if job.kind == KIND_JOINT:
         skip = float(job.param("skip_fraction", 0.0))
         if not 0.0 <= skip < 1.0:
@@ -165,31 +169,110 @@ def analysis_for_job(job: SimJob) -> Any:
     raise ValueError(f"job kind {job.kind!r} is not an analysis kind")
 
 
-def _run_coverage(job: SimJob, trace: TraceLike) -> Any:
-    prefetcher = build_prefetcher(job.prefetcher, job.workload)
-    return SimulationDriver(job.system, prefetcher).run(trace)
+class _DriverConsumer:
+    """Push-mode coverage run: a driver walk fed one precomputed chunk
+    at a time (``update_block``)."""
+
+    __slots__ = ("_walk", "update_block")
+
+    def __init__(self, job: SimJob, driver: SimulationDriver) -> None:
+        self._walk = driver.start(job.workload)
+        self.update_block = self._walk.step_chunk
+
+    def finalize(self) -> Any:
+        return self._walk.finish()
 
 
-def _run_timing(job: SimJob, trace: TraceLike) -> Any:
-    # one shared walk: the driver classifies each access and feeds the
-    # incremental timing model in the same pass (no service list)
-    prefetcher = build_prefetcher(job.prefetcher, job.workload)
-    model = timing_model_for_job(job)
-    SimulationDriver(job.system, prefetcher, service_consumer=model).run(trace)
-    return model.finalize()
+class _TimingConsumer(_DriverConsumer):
+    """Coverage walk feeding the incremental timing model; the timing
+    result is the job's payload, the coverage accounting is discarded."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, job: SimJob, driver: SimulationDriver, model) -> None:
+        super().__init__(job, driver)
+        self._model = model
+
+    def finalize(self) -> Any:
+        self._walk.finish()
+        return self._model.finalize()
 
 
-def _run_analysis(job: SimJob, trace: TraceLike) -> Any:
-    return analysis_for_job(job).consume(trace)
+def job_consumer(job: SimJob) -> Any:
+    """An ``update_block(chunk)`` / ``finalize()`` consumer executing ``job``.
+
+    Analysis jobs are :class:`~repro.analysis.base.StreamingAnalysis`
+    instances already; coverage and timing jobs wrap a pushed
+    :class:`~repro.sim.driver.DriverWalk`.
+    """
+    if job.kind == KIND_COVERAGE:
+        prefetcher = build_prefetcher(job.prefetcher, job.workload)
+        return _DriverConsumer(job, SimulationDriver(job.system, prefetcher))
+    if job.kind == KIND_TIMING:
+        prefetcher = build_prefetcher(job.prefetcher, job.workload)
+        model = timing_model_for_job(job)
+        driver = SimulationDriver(
+            job.system, prefetcher, service_consumer=model
+        )
+        return _TimingConsumer(job, driver, model)
+    return analysis_for_job(job)
 
 
-_EXECUTORS: Dict[str, Callable[[SimJob, TraceLike], Any]] = {
-    KIND_COVERAGE: _run_coverage,
-    KIND_TIMING: _run_timing,
-    KIND_JOINT: _run_analysis,
-    KIND_REPETITION: _run_analysis,
-    KIND_CORRELATION: _run_analysis,
-}
+def run_group(
+    jobs: "list[SimJob]",
+    accesses: Iterable[MemoryAccess],
+    attempt: int = 1,
+) -> "list[tuple[SimJob, Any]]":
+    """Execute every job in ``jobs`` from one shared pass over ``accesses``.
+
+    Args:
+        jobs: jobs sharing a trace key (any kinds may mix).
+        accesses: a single-iteration access stream for that key — a
+            ``TraceSource``, a store replay, or a record-during-walk
+            generator. It is pumped chunk at a time: each chunk's
+            pre-pass (block ids) is computed once and every consumer's
+            ``update_block`` replays it through its per-access closures,
+            so one chunk decode serves the whole group.
+        attempt: 1-based attempt number, folded into each job's
+            fault-injection draw.
+
+    Returns:
+        ``(job, result)`` pairs in ``jobs`` order; every consumer owns
+        independent state, so each result is the job's result alone.
+    """
+    # per-job injection point: a grouped job draws the faults a solo run
+    # of the same attempt would, so group→isolation degradation is real
+    for job in jobs:
+        maybe_fail_job(job.job_hash, attempt)
+    consumers = [job_consumer(job) for job in jobs]
+    updates = [consumer.update_block for consumer in consumers]
+    # ``walk_step`` phase accounting times the consumer updates per chunk
+    # (chunk decode is accounted separately inside decode_chunk; the
+    # pre-pass column, computed lazily inside a chunk's first update,
+    # nests under walk_step as well as prepass)
+    timer = phases_active()
+    if timer is None:
+        for chunk in iter_trace_chunks(accesses):
+            for update_block in updates:
+                update_block(chunk)
+        return [
+            (job, consumer.finalize())
+            for job, consumer in zip(jobs, consumers)
+        ]
+    for chunk in iter_trace_chunks(accesses):
+        start = time.perf_counter()
+        for update_block in updates:
+            update_block(chunk)
+        timer.add(PHASE_WALK, time.perf_counter() - start)
+    start = time.perf_counter()
+    results = [
+        (job, consumer.finalize())
+        for job, consumer in zip(jobs, consumers)
+    ]
+    timer.add(
+        PHASE_FINALIZE, time.perf_counter() - start, calls=len(results)
+    )
+    return results
 
 
 def execute_job(
@@ -211,14 +294,14 @@ def execute_job(
         The kind-specific result dataclass; bit-identical across trace
         modes, serial/parallel execution and cache round-trips.
 
-    A mid-walk :class:`~repro.tracestore.TraceFormatError` from a store
-    replay (a corrupt or truncated entry caught by the codec's CRC) is
-    *not* handled here — callers recover by quarantining the entry and
+    A solo job is a :func:`run_group` of one. A mid-walk
+    :class:`~repro.tracestore.TraceFormatError` from a store replay (a
+    corrupt or truncated entry caught by the codec's CRC) is *not*
+    handled here — callers recover by quarantining the entry and
     retrying, at which point the store regenerates (see
     ``execute_job_recovering``).
     """
-    maybe_fail_job(job.job_hash, attempt)
-    return _EXECUTORS[job.kind](job, job_trace(job, trace_store))
+    return run_group([job], job_trace(job, trace_store), attempt)[0][1]
 
 
 def execute_job_recovering(
@@ -318,8 +401,8 @@ def execute_jobs_broadcast(
 ) -> None:
     """Broadcast-consumer process entry: a job bundle fed from one ring.
 
-    Runs the bundle through the same fan-out pump a serial group uses
-    (:func:`~repro.engine.fanout.run_group`) — every job in the bundle
+    Runs the bundle through :func:`run_group`, the loop every job
+    walks — every job in the bundle
     shares one chunk decode and one vectorized pre-pass — but the
     access stream is a :class:`~repro.tracestore.broadcast.ChunkCursor`
     decoding chunks straight out of shared memory: zero file IO, zero
@@ -337,7 +420,6 @@ def execute_jobs_broadcast(
     ``"telemetry"`` key (phase-timer delta + bundle span self-report)
     that the parent pops before folding the counters.
     """
-    from repro.engine.fanout import run_group
     from repro.tracestore.broadcast import ChunkCursor, replay_fallback
 
     bundle = list(jobs)

@@ -2,8 +2,8 @@
 
 The driver and the incremental :class:`TimingModel` share one streaming
 walk of the trace (``SimulationDriver(..., service_consumer=model)``);
-:func:`simulate_timing` is the materialized convenience wrapper over a
-recorded service list.
+:func:`simulate_timing` drives the model over a given list of per-access
+service classes.
 """
 
 from repro.sim.driver import SimulationDriver

@@ -14,9 +14,8 @@ Prefetch requests for blocks already on chip (L1, L2 or SVB) are dropped
 without cost: they would not generate an off-chip fetch.
 
 The driver is the single walk of the trace: it accepts an in-memory
-:class:`Trace` or a lazy :class:`TraceSource` and, instead of recording
-the per-access service classification into a list, can feed it directly
-to a ``service_consumer`` (the incremental
+:class:`Trace` or a lazy :class:`TraceSource` and feeds the per-access
+service classification to a ``service_consumer`` (the incremental
 :class:`~repro.sim.timing.TimingModel`) — which is how a coverage +
 timing job runs end to end in O(1) memory.
 """
@@ -24,7 +23,6 @@ timing job runs end to end in O(1) memory.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import Optional, Protocol
 
 from repro.common.config import SystemConfig
@@ -40,7 +38,6 @@ from repro.sim.results import (
     SERVICE_SVB,
     CoverageResult,
 )
-from repro.telemetry import PHASE_FINALIZE, PHASE_WALK, phases_active
 from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
 
@@ -79,25 +76,21 @@ class SimulationDriver:
     Args:
         system: cache/SVB geometry and timing parameters.
         prefetcher: the predictor under test, or None for the baseline.
-        record_service: materialize the per-access service classification
-            into ``result.service`` (O(trace) memory; only needed when a
-            separate timing pass will replay it).
         service_consumer: incremental sink fed ``(access, service_class)``
-            during the walk — the streaming alternative to
-            ``record_service`` (the driver does not call its
-            ``finalize()``; the caller owns the consumer's lifecycle).
+            during the walk, e.g. a
+            :class:`~repro.sim.timing.TimingModel` (the driver does not
+            call its ``finalize()``; the caller owns the consumer's
+            lifecycle).
     """
 
     def __init__(
         self,
         system: SystemConfig,
         prefetcher: Optional[Prefetcher] = None,
-        record_service: bool = False,
         service_consumer: Optional[ServiceConsumer] = None,
     ) -> None:
         self.system = system
         self.prefetcher = prefetcher
-        self.record_service = record_service
         self.service_consumer = service_consumer
 
     def start(self, workload_name: str) -> DriverWalk:
@@ -131,11 +124,9 @@ class SimulationDriver:
                 prefetcher.on_svb_discard(block, stream)
 
         svb = StreamedValueBuffer(system.svb_entries, on_discard_unused=_discard)
-        service = [] if self.record_service else None
 
         # -- hoisted bindings for the hot loop --------------------------------
         hier_access = hierarchy.access
-        service_append = service.append if service is not None else None
         consumer = self.service_consumer
         consumer_update = consumer.update if consumer is not None else None
         level_l1 = ServiceLevel.L1
@@ -174,8 +165,6 @@ class SimulationDriver:
                     if is_read:
                         uncovered_count += 1
                     klass = SERVICE_MEMORY
-                if service_append is not None:
-                    service_append(klass)
                 if consumer_update is not None:
                     consumer_update(access, klass)
 
@@ -231,8 +220,6 @@ class SimulationDriver:
                         if is_read:
                             uncovered_count += 1
                         klass = SERVICE_MEMORY
-                if service_append is not None:
-                    service_append(klass)
                 if consumer_update is not None:
                     consumer_update(access, klass)
 
@@ -278,7 +265,6 @@ class SimulationDriver:
                     prefetcher.finish()
                 if hasattr(prefetcher, "stats"):
                     result.prefetcher_stats = prefetcher.stats.to_dict()
-            result.service = service
             return result
 
         block_bits = system.address_map.block_bits
@@ -296,23 +282,12 @@ class SimulationDriver:
     def run(self, trace: TraceLike) -> CoverageResult:
         """Walk ``trace`` (in memory or streaming) through the system.
 
-        Pulls the whole trace chunk at a time through :meth:`start`'s
-        ``step_chunk``, so a pulled run and an externally pushed walk
-        (the engine's multi-consumer fan-out) execute identical code and
-        produce bit-identical results.
+        The library's plain loop over :meth:`start`'s ``step_chunk``, so
+        a pulled run and an engine job's pushed walk execute identical
+        code and produce bit-identical results.
         """
         walk = self.start(trace.name)
         step_chunk = walk.step_chunk
-        timer = phases_active()
-        if timer is None:
-            for chunk in iter_trace_chunks(trace):
-                step_chunk(chunk)
-            return walk.finish()
         for chunk in iter_trace_chunks(trace):
-            start = perf_counter()
             step_chunk(chunk)
-            timer.add(PHASE_WALK, perf_counter() - start)
-        start = perf_counter()
-        result = walk.finish()
-        timer.add(PHASE_FINALIZE, perf_counter() - start)
-        return result
+        return walk.finish()

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 
-#: per-access service classes recorded for the timing model
+#: per-access service classes the driver feeds the timing model
 SERVICE_L1 = "l1"
 SERVICE_L2 = "l2"
 SERVICE_MEMORY = "mem"
@@ -33,8 +33,6 @@ class CoverageResult:
     uncovered: int = 0
     issued_prefetches: int = 0
     overpredictions: int = 0
-    #: per-access service class (populated when record_service=True)
-    service: Optional[List[str]] = None
     prefetcher_stats: Dict[str, object] = field(default_factory=dict)
 
     @property

@@ -43,7 +43,6 @@ from repro.sim.results import (
     SERVICE_MEMORY,
     SERVICE_PREFETCHED_L1,
     SERVICE_SVB,
-    CoverageResult,
     TimingResult,
 )
 from repro.trace.container import Trace
@@ -185,9 +184,15 @@ class TimingModel:
 
         Raises:
             RuntimeError: if called twice.
+            ValueError: if the stream ended at or before access
+                ``measure_from`` (the warm-up covered everything, so
+                nothing was measured).
         """
         if self._finalized:
             raise RuntimeError("TimingModel.finalize() called twice")
+        if self.measure_from and self._count <= self.measure_from:
+            raise ValueError(f"measure_from {self.measure_from} is not "
+                             f"before the stream's end ({self._count})")
         self._finalized = True
         cycles = self._t
         if self._rob:
@@ -210,14 +215,15 @@ def simulate_timing(
     prefetcher_name: str = "none",
     measure_from: int = 0,
 ) -> TimingResult:
-    """Estimate execution cycles for ``trace`` under the recorded service
-    classification (produced by a driver run with ``record_service=True``).
+    """Estimate execution cycles for ``trace`` under a given per-access
+    service classification (one ``SERVICE_*`` class per access).
 
-    This is the materialized-inputs wrapper around :class:`TimingModel`;
-    streaming runs feed the model directly from the driver and never
-    build ``service``. ``measure_from`` excludes the first N accesses
-    from the reported cycle and instruction counts (see
-    :class:`TimingModel`).
+    This is the materialized-inputs wrapper around :class:`TimingModel`
+    for hand-written or precomputed classifications; the driver feeds
+    the model directly (``service_consumer=``) and never builds
+    ``service``. ``measure_from`` excludes the first N accesses from the
+    reported cycle and instruction counts (see :class:`TimingModel`); it
+    must index an access of ``trace`` (or be 0 for an empty trace).
     """
     n = len(trace)
     if len(service) != n:
@@ -225,7 +231,7 @@ def simulate_timing(
             f"service classification length {len(service)} does not match "
             f"trace length {n}"
         )
-    if not 0 <= measure_from <= n:
+    if not 0 <= measure_from < max(n, 1):
         raise ValueError(f"measure_from {measure_from} out of range")
     model = TimingModel(
         config,
@@ -237,17 +243,3 @@ def simulate_timing(
     for access, klass in zip(trace, service):
         update(access, klass)
     return model.finalize()
-
-
-def timing_from_coverage(
-    trace: Trace,
-    coverage: CoverageResult,
-    config: TimingConfig = TimingConfig(),
-) -> TimingResult:
-    """Convenience wrapper: timing for a driver result with service data."""
-    if coverage.service is None:
-        raise ValueError("coverage result lacks service data; "
-                         "run the driver with record_service=True")
-    return simulate_timing(
-        trace, coverage.service, config, prefetcher_name=coverage.prefetcher
-    )

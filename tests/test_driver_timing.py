@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.addresses import DEFAULT_ADDRESS_MAP
 from repro.common.config import SystemConfig, TimingConfig
+from repro.engine import PrefetcherSpec, SimJob, execute_job
 from repro.prefetch.base import Prefetcher, TARGET_L1, TARGET_SVB
 from repro.prefetch.stems.stems import STeMSPrefetcher
 from repro.prefetch.stride import StridePrefetcher
@@ -18,7 +19,7 @@ from repro.sim.results import (
     SERVICE_PREFETCHED_L1,
     SERVICE_SVB,
 )
-from repro.sim.timing import simulate_timing
+from repro.sim.timing import TimingModel, simulate_timing
 from repro.trace.container import Trace
 
 AMAP = DEFAULT_ADDRESS_MAP
@@ -121,9 +122,17 @@ class TestDriverAccounting:
         assert result.writes == 1
 
     def test_service_recording(self, tiny_system):
+        class Recorder:
+            def __init__(self):
+                self.service = []
+
+            def update(self, access, service_class):
+                self.service.append(service_class)
+
         trace = simple_trace([1, 1])
-        result = SimulationDriver(tiny_system, None, record_service=True).run(trace)
-        assert result.service == [SERVICE_MEMORY, SERVICE_L1]
+        recorder = Recorder()
+        SimulationDriver(tiny_system, None, service_consumer=recorder).run(trace)
+        assert recorder.service == [SERVICE_MEMORY, SERVICE_L1]
 
     def test_coverage_properties(self, tiny_system):
         trace = simple_trace([1, 2, 3])
@@ -221,6 +230,22 @@ class TestTimingModel:
         trace = simple_trace([1])
         with pytest.raises(ValueError):
             simulate_timing(trace, [SERVICE_L1], measure_from=5)
+        # a warm-up covering the whole trace leaves nothing to measure
+        with pytest.raises(ValueError):
+            simulate_timing(trace, [SERVICE_L1], measure_from=len(trace))
+        model = TimingModel(measure_from=1)
+        model.update(trace[0], SERVICE_L1)
+        with pytest.raises(ValueError, match="measure_from"):
+            model.finalize()
+
+    def test_job_warmup_fraction_must_leave_a_measured_window(self):
+        job = SimJob(
+            kind="timing", workload="db2", length=3000, seed=1,
+            system=SystemConfig.tiny(), prefetcher=PrefetcherSpec("stride"),
+            params=(("warmup_fraction", 1.5),),
+        )
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            execute_job(job)
 
     def test_ipc_and_speedup(self):
         trace = simple_trace([1, 2, 3])

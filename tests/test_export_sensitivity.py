@@ -79,8 +79,7 @@ class TestResultCodecs:
         CoverageResult(
             "db2", "stems", accesses=100, reads=80, writes=20,
             covered=10, uncovered=30, issued_prefetches=15,
-            overpredictions=5, service=["l1", "mem", "svb"],
-            prefetcher_stats={"streams": 3},
+            overpredictions=5, prefetcher_stats={"streams": 3},
         ),
         TimingResult("db2", "tms", cycles=1234.5, instructions=1000,
                      memory_stall_cycles=99.25),

@@ -20,10 +20,13 @@ from repro.analysis import (
     Sequitur,
     StreamLengthAnalysis,
 )
+from repro.analysis.base import StreamingAnalysis
 from repro.common.config import SystemConfig
 from repro.engine import Engine, JobGraph, execute_job
+from repro.engine.faultinject import ENV_VAR
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS
+from repro.sim.driver import SimulationDriver
 from repro.sim.timing import TimingModel
 from repro.trace.container import TraceSource
 from repro.tracestore import TraceStore
@@ -104,6 +107,51 @@ class TestStreamingNeverMaterializes:
         execute_job(job)
 
 
+class TestEveryModeWalksThroughRunGroup:
+    """Solo jobs, serial groups and the group → isolation → solo ladder
+    all run ``run_group``; no job calls the library's pull loops."""
+
+    @staticmethod
+    def jobs():
+        cfg = small_config()
+        cfg.system = SystemConfig.tiny()
+        return [
+            cfg.coverage_job("db2", "stride"),
+            cfg.timing_job("db2", "stride"),
+            cfg.joint_job("db2"),
+            cfg.repetition_job("db2"),
+            cfg.correlation_job("db2"),
+        ]
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return [execute_job(job) for job in self.jobs()]
+
+    @pytest.fixture
+    def no_pull_loops(self, monkeypatch):
+        def pull(*args, **kwargs):
+            raise AssertionError("a job ran a library pull loop")
+
+        monkeypatch.setattr(SimulationDriver, "run", pull)
+        monkeypatch.setattr(StreamingAnalysis, "consume", pull)
+
+    def test_execute_job(self, clean, no_pull_loops):
+        assert [execute_job(job) for job in self.jobs()] == clean
+
+    def test_engine_isolation_ladder(self, clean, no_pull_loops, monkeypatch):
+        # attempt 1 fails everywhere: the shared group walk, then each
+        # job's first solo attempt; the solo retry succeeds
+        monkeypatch.setenv(ENV_VAR, "job_fail:1@max_attempt=1")
+        graph = JobGraph()
+        jobs = [graph.add(job) for job in self.jobs()]
+        engine = Engine(jobs=1)
+        results = engine.run(graph)
+        assert not results.failures()
+        assert [results[job] for job in jobs] == clean
+        assert engine.stats.isolation_fallbacks == 1
+        assert engine.stats.retries == len(jobs)
+
+
 class TestAnalysisLifecycle:
     SYSTEM = SystemConfig.tiny()
 
@@ -164,8 +212,6 @@ class TestAnalysisLifecycle:
 
 class TestTimingModelBoundedState:
     def test_inflight_state_independent_of_length(self):
-        from repro.sim.driver import SimulationDriver
-
         peaks = {}
         for length in (2_000, 16_000):
             model = TimingModel(self.system().timing, workload="db2")
