@@ -3,8 +3,8 @@
 Every paper table/figure has one benchmark that regenerates it on the
 small preset and prints the resulting rows, so ``pytest benchmarks/
 --benchmark-only`` doubles as a quick reproduction run. Ablation benches
-cover the design choices DESIGN.md calls out (placement window, counter
-vs bit-vector history, stream lookahead).
+cover the design choices §4.3 of the paper calls out (placement window,
+counter vs bit-vector history, stream lookahead).
 
 Figure benchmarks run through a shared serial :class:`Engine` (no disk
 cache, so every round re-simulates and timings stay honest), which

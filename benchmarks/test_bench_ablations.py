@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out:
+"""Ablation benchmarks for the design choices §4.3 of the paper calls out:
 
 * reconstruction placement window (0 / 2 / 4) — §4.3 reports that +-2
   placement lets 99% of addresses be placed;

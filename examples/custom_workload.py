@@ -22,7 +22,7 @@ from repro import (
     SystemConfig,
     TMSPrefetcher,
 )
-from repro.analysis import joint_coverage_analysis, repetition_analysis
+from repro.analysis import JointPredictabilityAnalysis, RepetitionAnalysis
 from repro.trace import summarize_trace
 from repro.workloads.base import ComposedWorkload
 from repro.workloads.components import (
@@ -63,11 +63,15 @@ def main() -> None:
     print(summarize_trace(trace).format())
     print()
 
-    joint = joint_coverage_analysis(trace, system, skip_fraction=0.3)
+    # classify only after a 30% warm-up, as the Fig. 6 harness does
+    joint = JointPredictabilityAnalysis(
+        system, measure_from=int(len(trace) * 0.3), workload=workload.name
+    ).consume(trace)
     print("Fig. 6-style opportunity breakdown:")
     print("  " + joint.format())
-    all_misses, triggers = repetition_analysis(trace, system,
-                                               max_elements=30_000)
+    all_misses, triggers = RepetitionAnalysis(
+        system, max_elements=30_000
+    ).consume(trace)
     print("Fig. 7-style repetition:")
     print(f"  all misses: {all_misses.format()}")
     print(f"  triggers:   {triggers.format()}")

@@ -1,12 +1,10 @@
-"""Trace analyses backing Figures 6-8 and the §2.1 stream-length study.
+"""Trace analyses backing Figures 6-8.
 
-Every analysis is exposed two ways:
-
-* an **incremental consumer** class (:class:`StreamingAnalysis`
-  subclass) with the ``update(access)`` / ``finalize()`` lifecycle, for
-  single-pass O(1)-memory runs over streaming traces;
-* a **convenience function** taking a whole trace (materialized or
-  streaming), kept for interactive use and the original call sites.
+Every analysis is an incremental consumer class (a
+:class:`StreamingAnalysis` subclass) with the ``update(access)`` /
+``finalize()`` lifecycle, for single-pass O(1)-memory runs over
+streaming traces; ``consume(trace)`` drives that lifecycle over a whole
+trace.
 """
 
 from repro.analysis.base import StreamingAnalysis
@@ -16,23 +14,9 @@ from repro.analysis.repetition import (
     RepetitionAnalysis,
     RepetitionBreakdown,
     classify_repetition,
-    miss_and_trigger_sequences,
-    repetition_analysis,
 )
-from repro.analysis.correlation import (
-    CorrelationDistanceAnalysis,
-    correlation_distance_analysis,
-)
-from repro.analysis.joint import (
-    JointPredictabilityAnalysis,
-    joint_coverage_analysis,
-)
-from repro.analysis.streams import (
-    DEFAULT_HISTORY_LIMIT,
-    GreedyStreamMatcher,
-    StreamLengthAnalysis,
-    stream_length_analysis,
-)
+from repro.analysis.correlation import CorrelationDistanceAnalysis
+from repro.analysis.joint import JointPredictabilityAnalysis
 
 __all__ = [
     "StreamingAnalysis",
@@ -42,14 +26,6 @@ __all__ = [
     "RepetitionAnalysis",
     "RepetitionBreakdown",
     "classify_repetition",
-    "miss_and_trigger_sequences",
-    "repetition_analysis",
     "CorrelationDistanceAnalysis",
-    "correlation_distance_analysis",
     "JointPredictabilityAnalysis",
-    "joint_coverage_analysis",
-    "DEFAULT_HISTORY_LIMIT",
-    "GreedyStreamMatcher",
-    "StreamLengthAnalysis",
-    "stream_length_analysis",
 ]

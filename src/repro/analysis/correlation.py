@@ -25,7 +25,6 @@ from typing import Dict, List, Tuple
 from repro.analysis.base import HierarchyReplayAnalysis
 from repro.common.config import SystemConfig
 from repro.prefetch.sms.generations import GenerationRecord, SpatialIndex
-from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
 
 
@@ -120,16 +119,3 @@ class CorrelationDistanceAnalysis(HierarchyReplayAnalysis):
     def _finalize(self) -> CorrelationDistanceResult:
         self._agt.flush()
         return self._result
-
-
-def correlation_distance_analysis(
-    trace: TraceLike, system: SystemConfig
-) -> CorrelationDistanceResult:
-    """Compute the Fig. 8 correlation-distance histogram for ``trace``.
-
-    Materialized-convenience wrapper around
-    :class:`CorrelationDistanceAnalysis`.
-    """
-    return CorrelationDistanceAnalysis(
-        system, workload=trace.name
-    ).consume(trace)

@@ -39,7 +39,6 @@ from typing import Deque, Dict, List, Optional, Set
 from repro.analysis.base import HierarchyReplayAnalysis
 from repro.common.config import SystemConfig
 from repro.prefetch.sms.generations import SpatialIndex
-from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
 
 
@@ -186,39 +185,3 @@ class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
             sms_only=counts["sms"] / misses,
             neither=counts["neither"] / misses,
         )
-
-
-def joint_coverage_analysis(
-    trace: TraceLike, system: SystemConfig, skip_fraction: float = 0.0
-) -> JointCoverageResult:
-    """Classify each off-chip read miss of ``trace`` (Fig. 6).
-
-    Materialized-convenience wrapper around
-    :class:`JointPredictabilityAnalysis`: ``skip_fraction`` is resolved
-    against ``len(trace)`` (or, for a lazy source, its ``length_hint``,
-    which generators may overshoot by up to one burst) into the
-    ``measure_from`` index the incremental classifier uses. The engine
-    path (:mod:`repro.engine.exec`) instead resolves against the job's
-    requested length, which is what every execution mode shares.
-    """
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError(f"skip_fraction must be in [0, 1), got {skip_fraction}")
-    measure_from = 0
-    if skip_fraction:
-        try:
-            length = len(trace)  # type: ignore[arg-type]
-        except TypeError:
-            length = getattr(trace, "length_hint", None)
-            if length is None:
-                raise ValueError(
-                    "skip_fraction needs a trace with len() or a "
-                    "length_hint; pass measure_from to "
-                    "JointPredictabilityAnalysis directly instead"
-                ) from None
-        measure_from = int(length * skip_fraction)
-    analysis = JointPredictabilityAnalysis(
-        system,
-        measure_from=measure_from,
-        workload=trace.name,
-    )
-    return analysis.consume(trace)

@@ -29,7 +29,6 @@ from typing import Deque, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.base import HierarchyReplayAnalysis, StreamingAnalysis
 from repro.analysis.sequitur import Rule, Sequitur
 from repro.common.config import SystemConfig
-from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
 
 #: classification labels in display order
@@ -176,29 +175,3 @@ class RepetitionAnalysis(StreamingAnalysis):
     def _finalize(self) -> Tuple[RepetitionBreakdown, RepetitionBreakdown]:
         misses, triggers = self._extractor.finalize()
         return classify_repetition(misses), classify_repetition(triggers)
-
-
-def miss_and_trigger_sequences(
-    trace: TraceLike, system: SystemConfig
-) -> Tuple[List[int], List[int]]:
-    """Replay ``trace`` through the hierarchy; return the off-chip read
-    miss address sequence and its spatial-trigger subsequence (§5.3:
-    "Triggers" are the subset of misses that begin a spatial generation).
-    """
-    return MissSequenceExtractor(system).consume(trace)
-
-
-def repetition_analysis(
-    trace: TraceLike,
-    system: SystemConfig,
-    max_elements: int = 60000,
-) -> Tuple[RepetitionBreakdown, RepetitionBreakdown]:
-    """Fig. 7 for one workload: (all-misses breakdown, triggers breakdown).
-
-    Materialized-convenience wrapper around :class:`RepetitionAnalysis`;
-    the *tail* of each sequence (``max_elements`` elements) is analyzed.
-    """
-    return RepetitionAnalysis(
-        system, max_elements=max_elements,
-        workload=getattr(trace, "name", ""),
-    ).consume(trace)

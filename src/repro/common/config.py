@@ -3,7 +3,8 @@
 ``SystemConfig.paper()`` reproduces Table 1 of the paper; the default
 ``SystemConfig.scaled()`` shrinks the hierarchy proportionally so that
 synthetic traces of a few hundred thousand accesses exhibit the same miss
-mix the paper observes on multi-gigabyte working sets (see DESIGN.md §1).
+mix the paper observes on multi-gigabyte working sets (the ``scaled()``
+docstring gives the capacity ratios).
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ class SMSConfig:
     use_counters: bool = True
     counter_bits: int = 2
     predict_threshold: int = 2
-    #: install prefetches straight into L1 (the SMS paper's design) or SVB
-    install_target: str = "l1"
 
     @property
     def counter_max(self) -> int:

@@ -22,7 +22,8 @@ Each job streams its trace through the driver/analysis consumers in one
 pass, chunk by chunk, so peak memory is independent of ``--length``.
 
 ``ExperimentConfig.small()`` is the fast preset used by tests and
-benchmarks; the default preset matches EXPERIMENTS.md.
+benchmarks (``--small``); the default preset, 200k-access traces on the
+scaled hierarchy, is what the CLI runs without ``--small``.
 """
 
 from repro.experiments.config import ExperimentConfig

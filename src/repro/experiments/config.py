@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional
 
 from repro.common.config import SystemConfig
-from repro.engine.exec import build_prefetcher
 from repro.engine.job import (
     KIND_CORRELATION,
     KIND_COVERAGE,
@@ -24,8 +23,7 @@ from repro.engine.job import (
     PrefetcherSpec,
     SimJob,
 )
-from repro.prefetch.base import Prefetcher
-from repro.workloads.registry import WORKLOAD_CATEGORIES, WORKLOAD_NAMES
+from repro.workloads.registry import WORKLOAD_NAMES
 
 
 @dataclass
@@ -123,16 +121,3 @@ class ExperimentConfig:
     def system_with(self, **changes: Any) -> SystemConfig:
         """The active system config with fields replaced (sweeps)."""
         return replace(self.system, **changes)
-
-    # -- predictor factory -------------------------------------------------
-
-    def scientific(self, workload: str) -> bool:
-        return WORKLOAD_CATEGORIES.get(workload) == "scientific"
-
-    def make_prefetcher(
-        self, kind: str, workload: str, with_stride: bool = False
-    ) -> Optional[Prefetcher]:
-        """Build a predictor; scientific workloads use lookahead 12 (§4.3)."""
-        return build_prefetcher(
-            PrefetcherSpec.make(kind, with_stride=with_stride), workload
-        )

@@ -99,18 +99,6 @@ class Cache:
         ways[block] = prefetched
         return None
 
-    def invalidate(self, block: int) -> bool:
-        """Drop ``block`` if resident; returns whether it was present."""
-        ways = self._sets[block % self._num_sets]
-        return ways.pop(block, None) is not None
-
-    def resident_blocks(self) -> List[int]:
-        """All resident block numbers (test/diagnostic helper)."""
-        out: List[int] = []
-        for ways in self._sets:
-            out.extend(ways.keys())
-        return out
-
     def unused_prefetch_count(self) -> int:
         """Resident prefetched blocks never demand-referenced (end-of-run)."""
         return sum(1 for ways in self._sets for flag in ways.values() if flag)

@@ -5,15 +5,15 @@ the prefetcher as an :class:`AccessEvent` — including where it was serviced
 (L1, L2, off-chip memory, or the SVB) — forwards L1 evictions (spatial
 generations end on eviction, §2.4), and collects prefetch requests after
 each access. A request is a plain ``(block, stream_id, target)`` tuple:
-``stream_id`` is -1 outside stream-based prefetchers, and a ``target`` of
-None means the prefetcher's default ``install_target``.
+``stream_id`` is -1 outside stream-based prefetchers, and ``target`` names
+where the block is installed (:data:`TARGET_SVB` or :data:`TARGET_L1`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.memsys.hierarchy import ServiceLevel
 from repro.trace.events import MemoryAccess
@@ -56,15 +56,13 @@ class AccessEvent:
         )
 
 
-#: one prefetch request: (block, stream id, install target or None)
-Request = Tuple[int, int, Optional[str]]
+#: one prefetch request: (block, stream id, install target)
+Request = Tuple[int, int, str]
 
 
 class Prefetcher(abc.ABC):
     """Base class for all prefetchers."""
 
-    #: default install target for this prefetcher's requests
-    install_target: str = TARGET_SVB
     name: str = "prefetcher"
 
     def __init__(self) -> None:
@@ -90,7 +88,5 @@ class Prefetcher(abc.ABC):
         self._pending = []
         return pending
 
-    def _request(
-        self, block: int, stream_id: int = -1, target: Optional[str] = None
-    ) -> None:
+    def _request(self, block: int, target: str, stream_id: int = -1) -> None:
         self._pending.append((block, stream_id, target))

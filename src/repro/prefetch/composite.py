@@ -26,7 +26,6 @@ class CompositePrefetcher(Prefetcher):
         super().__init__()
         self.main = main
         self.stride = StridePrefetcher(stride_config)
-        self.install_target = main.install_target
         self.name = f"stride+{main.name}"
 
     def on_access(self, event: AccessEvent) -> None:
@@ -40,9 +39,8 @@ class CompositePrefetcher(Prefetcher):
         self.main.on_svb_discard(block, stream_id)
 
     def pop_requests(self) -> Sequence[Request]:
-        # stride requests name their L1 target; the main engine's default
-        # target is this wrapper's ``install_target``, so both lists pass
-        # through unchanged, stride requests first
+        # every request names its target (stride's the L1), so both
+        # lists pass through unchanged, stride requests first
         stride = self.stride.pop_requests()
         main = self.main.pop_requests()
         if not stride:

@@ -46,7 +46,6 @@ class _HistoryEntry:
 class GHBPrefetcher(Prefetcher):
     """G/AC global history buffer prefetcher."""
 
-    install_target = TARGET_SVB
     name = "ghb"
 
     def __init__(self, config: GHBConfig = GHBConfig()) -> None:

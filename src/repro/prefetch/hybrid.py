@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.common.addresses import AddressMap, DEFAULT_ADDRESS_MAP
 from repro.common.config import SMSConfig, TMSConfig
-from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher, Request
+from repro.prefetch.base import AccessEvent, Prefetcher, Request
 from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
 
@@ -21,7 +21,6 @@ from repro.prefetch.tms.tms import TMSPrefetcher
 class NaiveHybridPrefetcher(Prefetcher):
     """Uncoordinated TMS + SMS combination."""
 
-    install_target = TARGET_SVB
     name = "hybrid"
 
     def __init__(

@@ -34,7 +34,6 @@ class MarkovConfig:
 class MarkovPrefetcher(Prefetcher):
     """First-order Markov (pair-correlation) prefetcher."""
 
-    install_target = TARGET_SVB
     name = "markov"
 
     def __init__(self, config: MarkovConfig = MarkovConfig()) -> None:

@@ -28,7 +28,6 @@ class SMSPrefetcher(Prefetcher):
     ) -> None:
         super().__init__()
         self.config = config
-        self.install_target = config.install_target
         self.address_map = address_map
         self.pht = PatternHistoryTable(config, address_map.blocks_per_region)
         self.agt = ActiveGenerationTable(

@@ -54,7 +54,6 @@ class _STeMSCursor:
 class STeMSPrefetcher(Prefetcher):
     """Spatio-Temporal Memory Streaming."""
 
-    install_target = TARGET_SVB
     name = "stems"
 
     #: bound on the per-stream de-duplication set

@@ -43,9 +43,6 @@ class StreamQueue:
         self.fetched = 0
         self.exhausted = refill is None and not self.pending
 
-    def has_pending(self, block: int) -> bool:
-        return block in self._pending_set
-
     def pending_position(self, block: int, window: int) -> Optional[int]:
         """Position of ``block`` within the first ``window`` pending
         entries, or None. Bounding the search matters: a block can recur

@@ -27,7 +27,6 @@ class _StrideEntry:
 class StridePrefetcher(Prefetcher):
     """Classic per-PC stride detector with confidence hysteresis."""
 
-    install_target = TARGET_L1
     name = "stride"
 
     def __init__(self, config: StrideConfig = StrideConfig()) -> None:

@@ -27,7 +27,6 @@ class _TMSCursor:
 class TMSPrefetcher(Prefetcher):
     """TMS: replay of the recorded global off-chip miss sequence."""
 
-    install_target = TARGET_SVB
     name = "tms"
 
     #: CMOB entries pulled per refill

@@ -178,7 +178,6 @@ class SimulationDriver:
             on_access = prefetcher.on_access
             pop_requests = prefetcher.pop_requests
             on_l1_eviction = prefetcher.on_l1_eviction
-            install_target = prefetcher.install_target
             # the walk's one event, overwritten for every access (an
             # event is valid only during the on_access call)
             event = AccessEvent(None, -1, level_l1)
@@ -235,7 +234,6 @@ class SimulationDriver:
                     if svb_contains(pf_block) or hier_present(pf_block) is not None:
                         continue  # already on chip: no off-chip fetch needed
                     issued_prefetches += 1
-                    target = target or install_target
                     if target == TARGET_SVB:
                         svb_insert(pf_block, pf_stream)
                     elif target == TARGET_L1:

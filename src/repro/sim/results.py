@@ -60,14 +60,6 @@ class CoverageResult:
             return 0.0
         return self.covered / self.issued_prefetches
 
-    def summary_row(self) -> str:
-        return (
-            f"{self.workload:<8} {self.prefetcher:<8} "
-            f"coverage={self.coverage:6.1%} "
-            f"overpred={self.overprediction_rate:6.1%} "
-            f"misses={self.baseline_misses}"
-        )
-
 
 @dataclass
 class TimingResult:

@@ -1,7 +1,7 @@
 """Analytical out-of-order timing model (the Fig. 10 methodology).
 
 A full cycle-accurate core is infeasible here; this model keeps the three
-effects that determine prefetching speedup shape (DESIGN.md §4):
+effects that determine prefetching speedup shape:
 
 1. **Issue rate** — time advances by ``instr_gap / issue_width`` per
    access (compute between memory references).

@@ -221,8 +221,3 @@ class MetricsRegistry:
                 hist.counts[index] = hist.counts.get(index, 0) + int(n)
             hist.sum += payload.get("sum", 0.0)
             hist.count += payload.get("count", 0)
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

@@ -2,9 +2,9 @@
 
 Each generator is a :class:`~repro.workloads.base.ComposedWorkload` built
 from reusable :mod:`~repro.workloads.components` that implement the
-structural behaviours the paper attributes to each application (DESIGN.md
-lists the substitution rationale). All generators are deterministic given
-a seed.
+structural behaviours the paper attributes to each application
+(:mod:`~repro.workloads.registry` states each application's behaviour
+mix). All generators are deterministic given a seed.
 """
 
 from repro.workloads.base import ComposedWorkload, TraceComponent

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.analysis.correlation import correlation_distance_analysis
-from repro.analysis.joint import joint_coverage_analysis
-from repro.analysis.repetition import miss_and_trigger_sequences, repetition_analysis
+from repro.analysis.correlation import CorrelationDistanceAnalysis
+from repro.analysis.joint import JointPredictabilityAnalysis
+from repro.analysis.repetition import MissSequenceExtractor, RepetitionAnalysis
 from repro.common.addresses import DEFAULT_ADDRESS_MAP
 from repro.common.config import SystemConfig
+from repro.engine import KIND_JOINT, SimJob
+from repro.engine.exec import analysis_for_job
 from repro.trace.container import Trace
 
 AMAP = DEFAULT_ADDRESS_MAP
@@ -28,14 +30,14 @@ class TestMissAndTriggerSequences:
         trace = Trace("t")
         for region in range(50):
             region_visit(trace, 1000 + region, [0, 3, 7])
-        misses, triggers = miss_and_trigger_sequences(trace, system)
+        misses, triggers = MissSequenceExtractor(system).consume(trace)
         assert set(triggers) <= set(misses)
         assert len(triggers) < len(misses)
 
     def test_cached_accesses_excluded(self, system):
         trace = Trace("t")
         region_visit(trace, 1, [0, 0, 0, 0])  # three L1 hits
-        misses, _ = miss_and_trigger_sequences(trace, system)
+        misses, _ = MissSequenceExtractor(system).consume(trace)
         assert len(misses) == 1
 
 
@@ -44,7 +46,7 @@ class TestJointAnalysis:
         trace = Trace("scan")
         for region in range(200):
             region_visit(trace, 5000 + region, [0, 4, 9])
-        result = joint_coverage_analysis(trace, system)
+        result = JointPredictabilityAnalysis(system).consume(trace)
         assert result.sms_only > 0.5
         assert result.tms_only < 0.1
 
@@ -57,7 +59,7 @@ class TestJointAnalysis:
         for _ in range(3):
             for region in regions:
                 region_visit(trace, region, [0])
-        result = joint_coverage_analysis(trace, system)
+        result = JointPredictabilityAnalysis(system).consume(trace)
         assert result.temporal > 0.5
         assert result.sms_only < 0.1
 
@@ -65,20 +67,22 @@ class TestJointAnalysis:
         trace = Trace("noise")
         for region in range(500):
             region_visit(trace, 7000 + region * 3, [region % 32])
-        result = joint_coverage_analysis(trace, system)
+        result = JointPredictabilityAnalysis(system).consume(trace)
         assert result.neither > 0.8
 
     def test_skip_fraction_bounds(self, system):
-        trace = Trace("x")
-        region_visit(trace, 1, [0])
-        with pytest.raises(ValueError):
-            joint_coverage_analysis(trace, system, skip_fraction=1.0)
+        # the engine resolves skip_fraction against the job's length and
+        # rejects a fraction that would leave no access measured
+        job = SimJob.make(KIND_JOINT, "db2", 1000, 0, system,
+                          skip_fraction=1.0)
+        with pytest.raises(ValueError, match="skip_fraction"):
+            analysis_for_job(job)
 
     def test_fractions_sum_to_one(self, system):
         trace = Trace("t")
         for region in range(100):
             region_visit(trace, region * 7, [0, 2])
-        r = joint_coverage_analysis(trace, system)
+        r = JointPredictabilityAnalysis(system).consume(trace)
         assert r.both + r.tms_only + r.sms_only + r.neither == pytest.approx(1.0)
         assert r.joint == pytest.approx(1.0 - r.neither)
 
@@ -90,7 +94,7 @@ class TestCorrelationAnalysis:
         # same index, same order, different regions; evictions via floods
         for region in range(300):
             region_visit(trace, 2000 + region, offsets)
-        result = correlation_distance_analysis(trace, system)
+        result = CorrelationDistanceAnalysis(system).consume(trace)
         assert result.fraction_at(1) > 0.95
         assert result.cumulative_within(2) > 0.95
 
@@ -99,7 +103,7 @@ class TestCorrelationAnalysis:
         for region in range(300):
             order = [0, 3, 7, 11] if region % 2 == 0 else [0, 7, 3, 11]
             region_visit(trace, 2000 + region, order)
-        result = correlation_distance_analysis(trace, system)
+        result = CorrelationDistanceAnalysis(system).consume(trace)
         assert result.cumulative_within(2) > 0.9
         assert result.fraction_at(1) < 0.9  # reordering mass exists
 
@@ -108,14 +112,14 @@ class TestCorrelationAnalysis:
         for region in range(200):
             offs = [0, 5, 9] if region % 2 == 0 else [0, 12, 20]
             region_visit(trace, 2000 + region, offs)
-        result = correlation_distance_analysis(trace, system)
+        result = CorrelationDistanceAnalysis(system).consume(trace)
         assert result.matched_fraction < 0.6
 
     def test_cdf_rows_monotone(self, system):
         trace = Trace("cdf")
         for region in range(100):
             region_visit(trace, 2000 + region, [0, 3, 7])
-        rows = correlation_distance_analysis(trace, system).cdf_rows()
+        rows = CorrelationDistanceAnalysis(system).consume(trace).cdf_rows()
         values = [v for _, v in rows]
         assert values == sorted(values)
         assert 0 not in [d for d, _ in rows]
@@ -130,7 +134,7 @@ class TestRepetitionAnalysis:
         for _ in range(4):
             for region in regions:
                 region_visit(trace, region, [0])
-        all_misses, triggers = repetition_analysis(trace, system)
+        all_misses, triggers = RepetitionAnalysis(system).consume(trace)
         assert all_misses.opportunity > 0.4
         assert triggers.opportunity > 0.4
 
@@ -138,5 +142,6 @@ class TestRepetitionAnalysis:
         trace = Trace("b")
         for region in range(300):
             region_visit(trace, region * 11, [0])
-        all_misses, _ = repetition_analysis(trace, system, max_elements=50)
+        analysis = RepetitionAnalysis(system, max_elements=50)
+        all_misses, _ = analysis.consume(trace)
         assert all_misses.total <= 50

@@ -38,13 +38,6 @@ class TestBasics:
         assert cache.lookup(0) and cache.lookup(1)
         assert cache.fill(4) == 0  # maps to set 0
 
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.fill(3)
-        assert cache.invalidate(3)
-        assert not cache.lookup(3)
-        assert not cache.invalidate(3)
-
     def test_len_counts_resident(self):
         cache = small_cache()
         for block in range(5):

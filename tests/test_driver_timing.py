@@ -32,7 +32,7 @@ class _ScriptedPrefetcher(Prefetcher):
 
     def __init__(self, fire_at, requests, target=TARGET_SVB):
         super().__init__()
-        self.install_target = target
+        self._target = target
         self._fire_at = fire_at
         self._requests = requests
         self._count = 0
@@ -41,7 +41,7 @@ class _ScriptedPrefetcher(Prefetcher):
         self._count += 1
         if self._count == self._fire_at:
             for b in self._requests:
-                self._request(b, stream_id=1)
+                self._request(b, target=self._target, stream_id=1)
 
 
 def simple_trace(blocks, name="t", deps=None, gaps=None):
@@ -111,6 +111,12 @@ class TestDriverAccounting:
         trace = simple_trace([1, 2, 1])
         result = SimulationDriver(tiny_system, pf).run(trace)
         assert result.issued_prefetches == 0
+
+    def test_request_without_target_rejected(self, tiny_system):
+        pf = _ScriptedPrefetcher(fire_at=1, requests=[50], target=None)
+        trace = simple_trace([1, 2])
+        with pytest.raises(ValueError, match="unknown prefetch target None"):
+            SimulationDriver(tiny_system, pf).run(trace)
 
     def test_writes_not_counted_as_covered(self, tiny_system):
         pf = _ScriptedPrefetcher(fire_at=1, requests=[50])

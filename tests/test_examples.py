@@ -58,10 +58,3 @@ def test_custom_workload(capsys):
     out = capsys.readouterr().out
     assert "docstore" in out
     assert "coverage" in out
-
-
-def test_multicore_invalidations(capsys):
-    run_example("multicore_invalidations.py", "2", "8000")
-    out = capsys.readouterr().out
-    assert "invalidations" in out
-    assert "core 1" in out

@@ -60,7 +60,15 @@ class TestComposite:
     def test_name_and_target(self):
         pf = CompositePrefetcher(TMSPrefetcher())
         assert pf.name == "stride+tms"
-        assert pf.install_target == TARGET_SVB
+        # distinct PCs keep the stride engine quiet: only TMS requests
+        blocks = [AMAP.block_in_region(r, 0) for r in (1, 2, 3)]
+        for i, b in enumerate(blocks):
+            pf.on_access(event(i, b, pc=0x10 + i))
+        pf.pop_requests()
+        pf.on_access(event(50, blocks[0], pc=0x10))  # recurrence: TMS streams
+        requests = pf.pop_requests()
+        assert requests
+        assert all(target == TARGET_SVB for _, _, target in requests)
 
     def test_stride_requests_target_l1(self):
         pf = CompositePrefetcher(STeMSPrefetcher())

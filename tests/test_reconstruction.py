@@ -1,5 +1,6 @@
 """Tests for STeMS reconstruction — including the paper's Figures 3/5
-worked example reproduced exactly (see DESIGN.md §4 for the derivation).
+worked example reproduced exactly (:class:`TestFigure3Example` spells out
+the decomposition).
 """
 
 import pytest

@@ -3,7 +3,7 @@
 from repro.common.addresses import DEFAULT_ADDRESS_MAP
 from repro.common.config import SMSConfig
 from repro.memsys.hierarchy import ServiceLevel
-from repro.prefetch.base import AccessEvent
+from repro.prefetch.base import TARGET_L1, AccessEvent
 from repro.prefetch.sms.generations import ActiveGenerationTable
 from repro.prefetch.sms.pht import PatternHistoryTable
 from repro.prefetch.sms.sms import SMSPrefetcher
@@ -155,5 +155,12 @@ class TestSMSPrefetcher:
         pf.on_access(AccessEvent(access=access, block=block(9, 0), level=mem))
         assert [b for b, _, _ in pf.pop_requests()] == [block(9, 3)]
 
-    def test_install_target(self):
-        assert SMSPrefetcher().install_target == "l1"
+    def test_requests_target_l1(self):
+        mem = ServiceLevel.MEMORY
+        pf = run_sms([(0x1, 5, 0, mem), (0x2, 5, 3, mem)])
+        pf.on_l1_eviction(block(5, 3))  # ends the generation: trains
+        access = MemoryAccess(index=10, pc=0x1, address=block(9, 0) * 64)
+        pf.on_access(AccessEvent(access=access, block=block(9, 0), level=mem))
+        requests = pf.pop_requests()
+        assert requests
+        assert all(target == TARGET_L1 for _, _, target in requests)

@@ -18,7 +18,6 @@ from repro.analysis import (
     MissSequenceExtractor,
     RepetitionAnalysis,
     Sequitur,
-    StreamLengthAnalysis,
 )
 from repro.analysis.base import StreamingAnalysis
 from repro.common.config import SystemConfig
@@ -160,7 +159,6 @@ class TestAnalysisLifecycle:
             JointPredictabilityAnalysis(self.SYSTEM),
             RepetitionAnalysis(self.SYSTEM, max_elements=100),
             CorrelationDistanceAnalysis(self.SYSTEM),
-            StreamLengthAnalysis(self.SYSTEM),
             MissSequenceExtractor(self.SYSTEM),
         ]
 

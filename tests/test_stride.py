@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import StrideConfig
 from repro.memsys.hierarchy import ServiceLevel
-from repro.prefetch.base import AccessEvent
+from repro.prefetch.base import TARGET_L1, AccessEvent
 from repro.prefetch.stride import StridePrefetcher
 from repro.trace.events import MemoryAccess
 
@@ -72,8 +72,10 @@ class TestStride:
                                  level=ServiceLevel.MEMORY))
         assert pf.pop_requests() == ()
 
-    def test_install_target_is_l1(self):
-        assert StridePrefetcher().install_target == "l1"
+    def test_requests_target_l1(self):
+        requests = feed(StridePrefetcher(), 0x10, [100, 101, 102])
+        assert requests
+        assert all(target == TARGET_L1 for _, _, target in requests)
 
 
 def feed_one(pf, index, pc, block):
