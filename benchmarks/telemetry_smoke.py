@@ -82,7 +82,7 @@ def time_sweeps(config: ExperimentConfig, store_dir: str,
     """Alternating off/basic warm-sweep CPU timings; best-of per mode.
 
     Serial (``jobs=1``) on purpose: the overhead being measured lives
-    in the in-process hot path (phase timers, span bookkeeping), and
+    in the in-process hot path (the phase timers), and
     pool scheduling noise at ``jobs>1`` would bury a 2% effect.
     """
     cpu = {MODE_OFF: [], MODE_BASIC: []}

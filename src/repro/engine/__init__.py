@@ -46,7 +46,6 @@ from repro.engine.journal import (
     RunJournal,
     RunRecord,
     find_run,
-    job_from_description,
     list_runs,
     load_run,
     runs_root,
@@ -89,7 +88,6 @@ __all__ = [
     "execute_job",
     "find_run",
     "job_consumer",
-    "job_from_description",
     "job_trace",
     "list_runs",
     "load_run",

@@ -54,7 +54,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.exec import (
@@ -334,9 +334,10 @@ class Engine:
         self.interrupt = interrupt
         self.telemetry = RunTelemetry()
         self.stats = EngineStats(self.telemetry.registry)
-        registry = self.telemetry.registry
-        registry.set_gauge("engine.jobs", self.jobs)
-        registry.set_gauge("engine.broadcast", self.broadcast)
+        #: where each executed job ran and its wall seconds there, set
+        #: by the path that ran it and taken by :meth:`run` when it
+        #: journals the completion
+        self._ran: Dict[str, Tuple[str, float]] = {}
 
     def run(self, graph: JobGraph) -> ResultMap:
         """Execute every job in ``graph``.
@@ -368,7 +369,6 @@ class Engine:
         for job in graph:
             if journal is not None:
                 journal.job_scheduled(job)
-            telemetry.job_scheduled(job)
             cached = self.cache.load(job) if self.cache else None
             if cached is not None:
                 self.stats.cache_hits += 1
@@ -384,6 +384,7 @@ class Engine:
             if pending:
                 for job, result in self._execute(pending):
                     results[job.job_hash] = result
+                    worker, wall_s = self._ran.pop(job.job_hash, (None, 0.0))
                     telemetry.job_finished(
                         job, ok=not isinstance(result, JobFailure)
                     )
@@ -399,7 +400,9 @@ class Engine:
                         # write-ahead commit record: only after the
                         # result is durably on disk (or caching is off
                         # and there is nothing to recover from)
-                        journal.job_completed(job, shard=shard)
+                        journal.job_completed(
+                            job, shard=shard, worker=worker, wall_s=wall_s
+                        )
         finally:
             if phase_before is not None:
                 telemetry.registry.merge(
@@ -473,7 +476,6 @@ class Engine:
             self._dispatch_gate()
             if journal is not None:
                 journal.attempt_started(job.job_hash, 1)
-            self.telemetry.attempt_started(job.job_hash, 1)
         for _ in range(2):
             try:
                 results = self._walk(group, 1)
@@ -508,7 +510,6 @@ class Engine:
             attempt = log.attempts + 1
             if journal is not None:
                 journal.attempt_started(job.job_hash, attempt)
-            self.telemetry.attempt_started(job.job_hash, attempt)
             try:
                 return self._walk([job], attempt)[0][1]
             except Exception as error:
@@ -521,10 +522,6 @@ class Engine:
                         job.job_hash, log.attempts,
                         f"{type(error).__name__}: {error}",
                     )
-                self.telemetry.attempt_finished(
-                    job.job_hash, "failed",
-                    error=f"{type(error).__name__}: {error}",
-                )
                 if log.attempts >= policy.attempts:
                     return self._give_up(log)
                 self.stats.retries += 1
@@ -533,16 +530,22 @@ class Engine:
     def _walk(
         self, jobs: "list[SimJob]", attempt: int
     ) -> "list[tuple[SimJob, Any]]":
-        """One :func:`run_group` pass over ``jobs``' shared trace key.
+        """One inline :func:`run_group` pass over ``jobs``' shared trace key.
 
         Folds the walk's trace-plane cost into :attr:`stats`: the
         store's accounting delta (replay, or record while walking), or
         one generation pass without a store; every job not needing a
-        pass of its own counts as saved. A walk that raises folds nothing.
+        pass of its own counts as saved. Each job is credited the whole
+        walk's wall time on worker ``main``. A walk that raises folds
+        nothing.
         """
         store = self.trace_store
         before = store.stats.as_dict() if store is not None else None
+        start = time.perf_counter()
         results = run_group(jobs, job_trace(jobs[0], store), attempt)
+        ran = ("main", time.perf_counter() - start)
+        for job in jobs:
+            self._ran[job.job_hash] = ran
         if store is None:
             delta = {"generated": 1}
         else:
@@ -658,7 +661,6 @@ class Engine:
 
         stats = self.stats
         journal = self.journal
-        telemetry = self.telemetry
         bundles = [
             group[start::min(self.jobs, len(group))]
             for start in range(min(self.jobs, len(group)))
@@ -668,21 +670,12 @@ class Engine:
         except (OSError, ValueError):
             remaining.extend(group)  # no shared memory: the pool replays
             return
-        bundle_of = {
-            job.job_hash: index
-            for index, bundle in enumerate(bundles)
-            for job in bundle
-        }
         for job in group:
             # one dispatch per job even though the wave shares a walk —
             # keeps kill_at_job indices meaningful across modes
             self._dispatch_gate()
             if journal is not None:
                 journal.attempt_started(job.job_hash, 1)
-            telemetry.attempt_started(
-                job.job_hash, 1,
-                worker=f"bundle-{bundle_of[job.job_hash]}",
-            )
         stats.broadcast_waves += 1
         out_queue = multiprocessing.Queue()
         status_queue = multiprocessing.Queue()
@@ -720,10 +713,8 @@ class Engine:
                     bundle, proc = outstanding.pop(index)
                     ring.detach(index)  # its free tokens are gone with it
                     proc.join()
-                    telemetry.absorb_bundle(
-                        [job.job_hash for job in bundle],
-                        shared.pop("telemetry", None) or {},
-                    )
+                    self.telemetry.registry.merge(shared.pop("metrics", None))
+                    ran = (shared.pop("worker"), shared.pop("wall_s"))
                     stats.broadcast_chunks += shared["broadcast_chunks"]
                     stats.bytes_shared += shared["bytes_shared"]
                     stats.broadcast_fallbacks += shared["broadcast_fallbacks"]
@@ -737,6 +728,7 @@ class Engine:
                             store_delta or {}
                         ).get("generated", 0)
                         for job_hash, result in body:
+                            self._ran[job_hash] = ran
                             yield by_hash[job_hash], result
                     else:
                         for job in bundle:
@@ -812,9 +804,6 @@ class Engine:
             self.journal.attempt_failed(
                 job.job_hash, log.attempts, f"{type(error).__name__}: {error}"
             )
-        self.telemetry.attempt_finished(
-            job.job_hash, "failed", error=f"{type(error).__name__}: {error}"
-        )
         if log.attempts >= self.retry.attempts:
             yield job, self._give_up(log)
             return
@@ -836,7 +825,6 @@ class Engine:
             "worker_crash", job.job_hash, log.attempts + 1
         ):
             self.stats.requeued += 1
-            self.telemetry.attempt_finished(job.job_hash, "requeued")
             remaining.append(job)
             return
         yield from self._charge_wave_job(
@@ -959,8 +947,11 @@ class _PoolSupervisor:
                         except Exception as error:
                             yield from self._charge(job, log, error, queue)
                             continue
-                        self.engine.telemetry.absorb_attempt(
-                            job.job_hash, delta.pop("telemetry", None) or {}
+                        self.engine.telemetry.registry.merge(
+                            delta.pop("metrics", None)
+                        )
+                        self.engine._ran[job.job_hash] = (
+                            delta.pop("worker"), delta.pop("wall_s")
                         )
                         self.stats.absorb_trace_stats(delta)
                         self.stats.passes_saved += 1 - delta.get(
@@ -1000,9 +991,6 @@ class _PoolSupervisor:
                 self.engine._dispatch_gate()
             if journal is not None:
                 journal.attempt_started(job.job_hash, log.attempts + 1)
-            self.engine.telemetry.attempt_started(
-                job.job_hash, log.attempts + 1, worker="pool"
-            )
             try:
                 future = self.pool.submit(
                     execute_job_for_pool,
@@ -1048,9 +1036,6 @@ class _PoolSupervisor:
                 job.job_hash, log.attempts,
                 f"{type(error).__name__}: {error}",
             )
-        self.engine.telemetry.attempt_finished(
-            job.job_hash, "failed", error=f"{type(error).__name__}: {error}"
-        )
         if log.attempts >= self.policy.attempts:
             yield job, self.engine._give_up(log)
             return
@@ -1078,9 +1063,6 @@ class _PoolSupervisor:
                 yield from self._charge(job, log, error, queue)
             else:
                 self.stats.requeued += 1
-                self.engine.telemetry.attempt_finished(
-                    job.job_hash, "requeued"
-                )
                 queue.append((job, log, 0.0))
 
     def _crash_culprits(self, victims) -> Optional[set]:
@@ -1122,7 +1104,6 @@ class _PoolSupervisor:
         self._respawn()
         for job, log in victims:
             self.stats.requeued += 1
-            self.engine.telemetry.attempt_finished(job.job_hash, "requeued")
             queue.append((job, log, 0.0))
 
     def _serial_remainder(self, queue, in_flight) -> Iterable:

@@ -323,6 +323,7 @@ def execute_job_recovering(
     """
     if trace_store is None:
         return execute_job(job, None, attempt)
+    read = trace_store.entry_identity(job.trace_key)
     try:
         return execute_job(job, trace_store, attempt)
     except Exception as error:
@@ -330,9 +331,12 @@ def execute_job_recovering(
             job.trace_key, f"replay failed: {error}"
         )
         # a racing recoverer may have already quarantined (and cleanly
-        # re-recorded) the damaged entry this walk read — the evidence
-        # in quarantine/ still licenses one retry
-        if not damaged and not trace_store.was_quarantined(job.trace_key):
+        # re-recorded) the damaged entry this walk read: a replaced
+        # entry licenses the retry too, evidence of older damage does not
+        replaced = read is not None and (
+            trace_store.entry_identity(job.trace_key) != read
+        )
+        if not damaged and not replaced:
             raise
         trace_store.stats.replay_fallbacks += 1
         return execute_job(job, trace_store, attempt)
@@ -353,43 +357,35 @@ def execute_job_for_pool(
     the stats delta); other failures propagate to the parent's retry
     supervisor.
 
-    With telemetry on, the dict additionally carries a ``"telemetry"``
-    key — the worker's phase-timer delta plus a span self-report
-    (wall/CPU time, store hit/miss, bytes replayed) — which
-    the parent pops before folding the trace counters; the tuple shape
-    itself never changes.
+    The dict also carries the job's ``"worker"`` (``worker-<pid>``) and
+    in-worker ``"wall_s"`` for the run journal and, with telemetry on,
+    the worker's phase-timer delta under ``"metrics"``; the parent pops
+    all three before folding the trace counters.
     """
     store = None
     if trace_store_dir is not None:
         from repro.tracestore import TraceStore
 
         store = TraceStore(trace_store_dir)
-    telemetry = telemetry_enabled()
-    if telemetry:
-        phase_before = process_registry().snapshot()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
+    phase_before = _phase_snapshot()
+    start = time.perf_counter()
     result = execute_job_recovering(job, store, attempt)
+    wall_s = time.perf_counter() - start
     if store is not None:
         stats = store.stats.as_dict()
     else:
         stats = {"generated": 1}
-    if telemetry:
-        span = {
-            "worker": f"worker-{os.getpid()}",
-            "wall_s": time.perf_counter() - wall0,
-            "cpu_s": time.process_time() - cpu0,
-        }
-        if store is not None:
-            span["store"] = "hit" if stats.get("hits") else "miss"
-            span["bytes_replayed"] = stats.get("bytes_replayed", 0)
-            if stats.get("replay_fallbacks"):
-                span["fallback"] = "replay->regenerate"
-        stats = dict(stats)
-        stats["telemetry"] = {
-            "metrics": process_registry().delta_since(phase_before),
-            "span": span,
-        }
+    stats["worker"] = f"worker-{os.getpid()}"
+    stats["wall_s"] = wall_s
+    if phase_before is not None:
+        stats["metrics"] = process_registry().delta_since(phase_before)
     return job.job_hash, result, stats
+
+
+def _phase_snapshot() -> Optional[dict]:
+    """The process registry's snapshot a worker's phase delta is taken
+    against, or None when telemetry is off."""
+    return process_registry().snapshot() if telemetry_enabled() else None
 
 
 def execute_jobs_broadcast(
@@ -416,35 +412,25 @@ def execute_jobs_broadcast(
     description; the parent charges each bundled job's retry budget and
     requeues them through the pool path). Injected ``worker_crash``
     draws kill the process outright, exactly as they would a pool
-    worker. With telemetry on, the broadcast-accounting dict carries a
-    ``"telemetry"`` key (phase-timer delta + bundle span self-report)
-    that the parent pops before folding the counters.
+    worker. The broadcast-accounting dict also carries the bundle's
+    ``"worker"`` (``bundle-<index>``) and ``"wall_s"`` for the run
+    journal and, with telemetry on, its phase-timer delta under
+    ``"metrics"``; the parent pops them before folding the counters.
     """
     from repro.tracestore.broadcast import ChunkCursor, replay_fallback
 
     bundle = list(jobs)
     fallback = replay_fallback(str(trace_store_dir), bundle[0].trace_key)
     cursor = ChunkCursor(ring_consumer, fallback)
-    telemetry = telemetry_enabled()
-    if telemetry:
-        phase_before = process_registry().snapshot()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
+    phase_before = _phase_snapshot()
+    start = time.perf_counter()
 
     def accounting() -> dict:
         shared = cursor.accounting()
-        if telemetry:
-            span = {
-                "worker": f"bundle-{index}",
-                "wall_s": time.perf_counter() - wall0,
-                "cpu_s": time.process_time() - cpu0,
-                "bundle_jobs": len(bundle),
-            }
-            if shared["broadcast_fallbacks"]:
-                span["fallback"] = "broadcast->replay"
-            shared["telemetry"] = {
-                "metrics": process_registry().delta_since(phase_before),
-                "span": span,
-            }
+        shared["worker"] = f"bundle-{index}"
+        shared["wall_s"] = time.perf_counter() - start
+        if phase_before is not None:
+            shared["metrics"] = process_registry().delta_since(phase_before)
         return shared
 
     try:

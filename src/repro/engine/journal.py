@@ -8,12 +8,15 @@ OOM kill or a power cut with at worst one torn trailing line (which
 readers detect and drop — everything before it is trustworthy). The
 first event is the run header (argv, pid, start time, experiments,
 config hash, package/cache/store versions); the rest are job lifecycle
-events: ``job_scheduled`` (with the job's full canonical description,
-so the graph can be rebuilt from the journal alone),
+events: ``job_scheduled`` (with the job's full canonical description),
 ``attempt_started`` / ``attempt_failed``, ``job_completed`` — written
 only *after* the result is durably in the result cache, with the cache
-shard it landed in — and finally ``run_finished``, which seals the run
-with a terminal status (``clean | degraded | failed | interrupted``).
+shard it landed in and, for an executed job, the worker that ran it and
+its wall time — and finally ``run_finished``, which seals the run with
+a terminal status (``clean | degraded | failed | interrupted``) and the
+engine's stats. The journal is the one record of every job's
+lifecycle: ``repro-report`` builds its job, per-kind, slowest-job and
+fault tables from it alone.
 
 A run's status is derived from the journal alone: the sealed status
 when there is one; otherwise ``running`` while the header's pid is
@@ -23,12 +26,12 @@ run it resumed (``resumed_from``), and :func:`list_runs` links the pair,
 so nothing ever rewrites a finished run's directory.
 
 Resume (:mod:`repro.experiments.runner` ``--resume <run_id|last>``)
-rebuilds the :class:`~repro.engine.graph.JobGraph` from the journal's
-``job_scheduled`` descriptions via :func:`job_from_description`,
-cross-checks journaled completions against the result cache, and
-re-executes only the jobs with no durable result — jobs are pure and
-traces seed-deterministic, so the resumed run is bit-identical to an
-uninterrupted one.
+re-parses the header's argv, so the resumed run declares the identical
+:class:`~repro.engine.graph.JobGraph`, warns when that graph's job
+hashes drift from the journaled ``job_scheduled`` set, and re-executes
+only the jobs with no durable result in the result cache — jobs are
+pure and traces seed-deterministic, so the resumed run is bit-identical
+to an uninterrupted one.
 
 :class:`GracefulShutdown` is the signal side of durability: the first
 SIGINT/SIGTERM sets a cooperative event the engine polls between job
@@ -51,11 +54,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import __version__ as _PACKAGE_VERSION
-from repro.common.addresses import AddressMap
-from repro.common.config import CacheConfig, SystemConfig, TimingConfig
 from repro.engine.cache import CACHE_VERSION
 from repro.engine.faults import JobFailure
-from repro.engine.job import PrefetcherSpec, SimJob
+from repro.engine.job import SimJob
 from repro.tracestore.store import STORE_VERSION
 
 #: subdirectory of a cache dir holding one directory per journaled run
@@ -210,9 +211,8 @@ class RunJournal:
         """Write one event durably (flush + fsync before returning).
 
         Every event gets a ``t`` epoch timestamp (µs resolution) unless
-        the caller supplied one — the telemetry plane's ``repro-report``
-        derives queueing and attempt durations from these, and readers
-        use ``.get`` so journals from before the field remain valid.
+        the caller supplied one; readers use ``.get`` so journals from
+        before the field remain valid.
         """
         event.setdefault("t", round(time.time(), 6))
         self._handle.write(encode_line(event) + "\n")
@@ -245,17 +245,27 @@ class RunJournal:
         })
 
     def job_completed(self, job: SimJob, shard: Optional[Path] = None,
-                      source: str = "executed") -> None:
+                      source: str = "executed",
+                      worker: Optional[str] = None,
+                      wall_s: Optional[float] = None) -> None:
         """``job`` has a durable result (cache shard written, or served
         from the cache). Only ever written *after* the store succeeds —
-        the completion is the commit record."""
+        the completion is the commit record.
+
+        An executed job also records where it ran (``main``,
+        ``worker-<pid>`` or ``bundle-<n>``) and its wall seconds there.
+        """
         self.jobs_completed += 1
-        self.append({
+        event: Dict[str, Any] = {
             "event": "job_completed",
             "job": job.job_hash,
             "source": source,
             "shard": str(shard) if shard is not None else None,
-        })
+        }
+        if worker is not None:
+            event["worker"] = worker
+            event["wall_s"] = round(wall_s, 6)
+        self.append(event)
 
     def job_failed(self, failure: JobFailure) -> None:
         """``job`` exhausted its retries (a resume re-attempts it)."""
@@ -358,24 +368,6 @@ class RunRecord:
         return self.status() in ("interrupted", "crashed") or (
             self.status() in ("degraded", "failed") and bool(self.failed)
         ) or bool(self.incomplete()) and self.status() != "running"
-
-    def jobs(self) -> List[SimJob]:
-        """The run's job graph, rebuilt from the journal descriptions.
-
-        Raises:
-            JournalError: when a description no longer reproduces its
-                recorded content hash (schema drift or a forged line).
-        """
-        out = []
-        for job_hash, describe in self.scheduled.items():
-            job = job_from_description(describe)
-            if job.job_hash != job_hash:
-                raise JournalError(
-                    f"run {self.run_id}: job {job_hash[:12]} does not "
-                    "rebuild to its recorded hash (incompatible schema?)"
-                )
-            out.append(job)
-        return out
 
 
 def _pid_alive(pid: Any) -> bool:
@@ -513,47 +505,6 @@ def find_run(root: Union[str, Path], selector: str) -> RunRecord:
             return record
     known = ", ".join(r.run_id for r in records[-5:]) or "none"
     raise JournalError(f"no run {selector!r} under {root} (recent: {known})")
-
-
-# -- job reconstruction -----------------------------------------------------
-
-
-def job_from_description(describe: Dict[str, Any]) -> SimJob:
-    """Rebuild a :class:`SimJob` from its canonical JSON description.
-
-    The inverse of :meth:`SimJob.describe` — what lets ``--resume``
-    reconstruct the job graph from the journal alone. Callers should
-    verify ``job.job_hash`` against the recorded hash.
-    """
-    system_desc = describe["system"]
-    system = SystemConfig(
-        l1=CacheConfig(**system_desc["l1"]),
-        l2=CacheConfig(**system_desc["l2"]),
-        address_map=AddressMap(**system_desc["address_map"]),
-        svb_entries=int(system_desc["svb_entries"]),
-        timing=TimingConfig(**system_desc["timing"]),
-    )
-    prefetcher = None
-    spec_desc = describe.get("prefetcher")
-    if spec_desc is not None:
-        prefetcher = PrefetcherSpec(
-            kind=spec_desc["kind"],
-            with_stride=bool(spec_desc["with_stride"]),
-            overrides=tuple(
-                (str(name), value) for name, value in spec_desc["overrides"]
-            ),
-        )
-    return SimJob(
-        kind=describe["kind"],
-        workload=describe["workload"],
-        length=int(describe["length"]),
-        seed=int(describe["seed"]),
-        system=system,
-        prefetcher=prefetcher,
-        params=tuple(
-            (str(name), value) for name, value in describe.get("params", [])
-        ),
-    )
 
 
 # -- graceful shutdown ------------------------------------------------------

@@ -12,11 +12,11 @@ durable state the engine relies on:
 * **run journals** — every ``runs/<run_id>/journal.jsonl`` parses to a
   valid prefix (a torn final line is normal crash evidence; mid-file
   damage is not); a crashed run is noted as resumable;
-* **telemetry files** — ``metrics.json``/``trace.json`` in run
-  directories parse as JSON. Telemetry is derived observability data,
-  never load-bearing state, so a torn or orphaned telemetry file is
-  always a *note* (exit code 0), though ``--repair`` still quarantines
-  unparseable ones so ``repro-report`` sees a clean directory;
+* **telemetry files** — ``metrics.json`` in run directories parses as
+  JSON. Telemetry is derived observability data, never load-bearing
+  state, so a torn or orphaned ``metrics.json`` is always a *note*
+  (exit code 0), though ``--repair`` still quarantines an unparseable
+  one so ``repro-report`` sees a clean directory;
 * **stray temp files** — ``*.tmp.<pid>`` leftovers from writers that
   died between write and atomic rename.
 
@@ -45,7 +45,7 @@ from typing import List, Optional
 from repro.engine.cache import inspect_shard
 from repro.engine.faults import QUARANTINE_DIR, quarantine_file
 from repro.engine.journal import JOURNAL_NAME, RUNS_DIR, load_run
-from repro.telemetry import METRICS_NAME, TRACE_NAME
+from repro.telemetry import METRICS_NAME
 from repro.tracestore.codec import read_accesses
 
 
@@ -167,13 +167,12 @@ def _fsck_journals(runs: Path, report: Report, repair: bool) -> None:
                 "(run directory is unusable)",
                 action="",  # nothing to rebuild from
             ))
-            for name in (METRICS_NAME, TRACE_NAME):
-                telemetry_path = run_dir / name
-                if telemetry_path.is_file():
-                    report.add(Finding(
-                        telemetry_path, "telemetry",
-                        "orphaned (its run has no journal)", damage=False,
-                    ))
+            metrics_path = run_dir / METRICS_NAME
+            if metrics_path.is_file():
+                report.add(Finding(
+                    metrics_path, "telemetry",
+                    "orphaned (its run has no journal)", damage=False,
+                ))
             continue
         record = load_run(run_dir)
         if record.damage is not None:
@@ -219,31 +218,29 @@ def _repair_journal(record, journal_path: Path) -> bool:
 
 
 def _check_telemetry(run_dir: Path, report: Report, repair: bool) -> None:
-    """Telemetry artifacts are derived data: a torn ``metrics.json`` or
-    ``trace.json`` (writer died mid-rename, disk full) is never damage —
-    the journal remains the source of truth — but ``--repair``
-    quarantines unparseable ones so ``repro-report`` and trace viewers
-    don't trip over them."""
-    for name in (METRICS_NAME, TRACE_NAME):
-        path = run_dir / name
-        if not path.is_file():
-            continue
-        report.checked += 1
-        try:
-            json.loads(path.read_text())
-        except (OSError, ValueError) as error:
-            finding = report.add(Finding(
-                path, "telemetry",
-                f"unparseable ({type(error).__name__}); telemetry is "
-                "derived data — the journal is unaffected",
-                damage=False,
-                action="quarantined",
-            ))
-            if repair:
-                moved = quarantine_file(
-                    path, run_dir, f"fsck: unparseable {name}"
-                )
-                finding.repaired = moved is not None
+    """Telemetry is derived data: a torn ``metrics.json`` (writer died
+    mid-rename, disk full) is never damage — the journal remains the
+    source of truth — but ``--repair`` quarantines an unparseable one so
+    ``repro-report`` doesn't trip over it."""
+    path = run_dir / METRICS_NAME
+    if not path.is_file():
+        return
+    report.checked += 1
+    try:
+        json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        finding = report.add(Finding(
+            path, "telemetry",
+            f"unparseable ({type(error).__name__}); telemetry is "
+            "derived data — the journal is unaffected",
+            damage=False,
+            action="quarantined",
+        ))
+        if repair:
+            moved = quarantine_file(
+                path, run_dir, f"fsck: unparseable {METRICS_NAME}"
+            )
+            finding.repaired = moved is not None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,17 +1,17 @@
 """``repro-report``: render a human summary of one journaled run.
 
-Reads the run directory's two artifacts — the write-ahead journal
-(status, job lifecycle, timestamps) and the telemetry plane's
-``metrics.json`` (counters, phase timers, per-job spans) — and prints a
-run report: header, job outcomes, a per-kind throughput table, fault
-counters, the slowest jobs, and the hot-path phase breakdown.
+The run journal is the one record of a run's jobs: status, job
+outcomes, a per-kind throughput table (jobs, accesses, wall, acc/s),
+the slowest jobs with the worker each ran on, and the fault counters
+all come from ``journal.jsonl`` alone — every executed job's
+``job_completed`` event carries its worker and wall seconds, and the
+sealing ``run_finished`` event the engine's stats. The telemetry
+plane's ``metrics.json`` adds only the hot-path phase table.
 
-Degrades gracefully: a crashed run has no ``metrics.json`` (it is
-written at run end), so the report falls back to the journal alone —
-job counts and wall times come from the journal's per-event ``t``
-timestamps and the summary says so. A resumed run names the run that
-superseded it (and vice versa), linked through the resuming run's
-journal header.
+A crashed run therefore reports everything its journal reached except
+the phases (``metrics.json`` is written at run end). A resumed run
+names the run that superseded it (and vice versa), linked through the
+resuming run's journal header.
 
 Usage::
 
@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.journal import (
     JOURNAL_NAME,
@@ -63,83 +63,43 @@ def load_metrics(directory: Path) -> Optional[Dict[str, Any]]:
     return data if isinstance(data, dict) else None
 
 
-def _job_timings(events: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Journal-derived wall seconds per completed job (first dispatch →
-    completion), for runs without telemetry spans. Journals from before
-    per-event ``t`` timestamps yield nothing — callers must tolerate an
-    empty dict."""
-    first_dispatch: Dict[str, float] = {}
-    walls: Dict[str, float] = {}
-    for event in events:
-        t = event.get("t")
-        if not isinstance(t, (int, float)):
-            continue
-        job = str(event.get("job"))
-        kind = event.get("event")
-        if kind == "attempt_started":
-            first_dispatch.setdefault(job, float(t))
-        elif kind == "job_completed" and job in first_dispatch:
-            walls[job] = float(t) - first_dispatch[job]
-    return walls
-
-
 def build_report(record: RunRecord, events: List[Dict[str, Any]],
                  metrics: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """Everything the renderer needs, as one JSON-able dict."""
-    counters: Dict[str, Any] = (metrics or {}).get("counters", {})
-    spans: List[Dict[str, Any]] = (metrics or {}).get("spans", [])
-    final_stats: Optional[Dict[str, Any]] = None
+    final_stats: Dict[str, Any] = {}
+    ran: Dict[str, Tuple[str, float]] = {}  # job hash → (worker, wall_s)
     for event in events:
-        if event.get("event") == "run_finished":
+        if event.get("event") == "job_completed" and "worker" in event:
+            ran[str(event.get("job"))] = (
+                str(event["worker"]), float(event.get("wall_s") or 0.0)
+            )
+        elif event.get("event") == "run_finished":
             stats = event.get("stats")
             if isinstance(stats, dict):
                 final_stats = stats
-
-    def engine_counter(name: str) -> int:
-        if counters:
-            return int(counters.get("engine." + name, 0))
-        if final_stats is not None:
-            return int(final_stats.get(name, 0))
-        return 0
 
     kind_of = {
         job_hash: str(describe.get("kind", "?"))
         for job_hash, describe in record.scheduled.items()
     }
     kinds: Dict[str, Dict[str, Any]] = {}
-
-    def kind_row(kind: str) -> Dict[str, Any]:
-        return kinds.setdefault(kind, {
+    for job_hash, describe in record.scheduled.items():
+        row = kinds.setdefault(kind_of[job_hash], {
             "jobs": 0, "completed": 0, "cached": 0, "failed": 0,
             "retries": 0, "accesses": 0, "wall_s": 0.0,
         })
-
-    for job_hash in record.scheduled:
-        row = kind_row(kind_of[job_hash])
         row["jobs"] += 1
-        if record.completed.get(job_hash) == "cache":
+        source = record.completed.get(job_hash)
+        if source == "cache":
             row["cached"] += 1
-        elif job_hash in record.completed:
+        elif source is not None:
             row["completed"] += 1
+            row["accesses"] += int(describe.get("length", 0))
+            if job_hash in ran:
+                row["wall_s"] += ran[job_hash][1]
         if job_hash in record.failed:
             row["failed"] += 1
         row["retries"] += max(0, record.attempts.get(job_hash, 1) - 1)
-    for name, value in counters.items():
-        if name.startswith("walk.accesses."):
-            kind_row(name[len("walk.accesses."):])["accesses"] += int(value)
-
-    # wall time per kind: telemetry spans when present, else the
-    # journal's per-event timestamps
-    timed_source = "spans" if spans else "journal"
-    if spans:
-        for span in spans:
-            if span.get("status") == "ok" and span.get("wall_s"):
-                kind_row(str(span.get("kind", "?")))["wall_s"] += float(
-                    span["wall_s"]
-                )
-    else:
-        for job_hash, wall in _job_timings(events).items():
-            kind_row(kind_of.get(job_hash, "?"))["wall_s"] += wall
     for row in kinds.values():
         wall = row["wall_s"]
         row["wall_s"] = round(wall, 3)
@@ -148,38 +108,20 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
             if wall > 0 and row["accesses"] else None
         )
 
-    # slowest jobs: spans when present, else journal timings
-    slowest: List[Dict[str, Any]] = []
-    if spans:
-        closed = [s for s in spans if s.get("wall_s")]
-        closed.sort(key=lambda s: -float(s["wall_s"]))
-        slowest = [
-            {
-                "label": s.get("label"),
-                "kind": s.get("kind"),
-                "worker": s.get("worker"),
-                "attempt": s.get("attempt"),
-                "status": s.get("status"),
-                "wall_s": round(float(s["wall_s"]), 3),
-            }
-            for s in closed[:SLOWEST]
-        ]
-    else:
-        timings = sorted(
-            _job_timings(events).items(), key=lambda item: -item[1]
-        )
-        slowest = [
-            {
-                "label": record.labels.get(job_hash, job_hash[:12]),
-                "kind": kind_of.get(job_hash, "?"),
-                "worker": None,
-                "attempt": record.attempts.get(job_hash, 1),
-                "status": "ok",
-                "wall_s": round(wall, 3),
-            }
-            for job_hash, wall in timings[:SLOWEST]
-        ]
+    slowest = [
+        {
+            "label": record.labels.get(job_hash, job_hash[:12]),
+            "kind": kind_of.get(job_hash, "?"),
+            "worker": worker,
+            "attempt": record.attempts.get(job_hash, 1),
+            "wall_s": round(wall, 3),
+        }
+        for job_hash, (worker, wall) in sorted(
+            ran.items(), key=lambda item: -item[1][1]
+        )[:SLOWEST]
+    ]
 
+    counters: Dict[str, Any] = (metrics or {}).get("counters", {})
     phases = {}
     for phase in PHASES:
         seconds = counters.get(f"phase.{phase}.seconds")
@@ -189,23 +131,20 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
                 "calls": int(counters.get(f"phase.{phase}.calls", 0)),
             }
 
-    status = record.status()
-    resumed_from = record.header.get("resumed_from")
     faults = {
-        name: engine_counter(name)
+        name: int(final_stats[name])
         for name in FAULT_COUNTERS
-        if engine_counter(name)
+        if final_stats.get(name)
     }
     return {
         "run": record.run_id,
-        "status": status,
+        "status": record.status(),
         "started": record.started or None,
         "experiments": record.header.get("experiments") or [],
         "argv": record.header.get("argv"),
         "resumed_by": record.resumed_by,
-        "resumed_from": resumed_from,
+        "resumed_from": record.header.get("resumed_from"),
         "telemetry": metrics is not None,
-        "timings_from": timed_source,
         "jobs": {
             "scheduled": len(record.scheduled),
             "completed": sum(
@@ -218,7 +157,7 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
             ),
             "failed": len(record.failed),
             "incomplete": len(record.incomplete()),
-            "retries": engine_counter("retries"),
+            "retries": int(final_stats.get("retries", 0)),
         },
         "kinds": kinds,
         "faults": faults,
@@ -251,7 +190,7 @@ def render(report: Dict[str, Any]) -> str:
     if not report["telemetry"]:
         lines.append(
             "telemetry    no metrics.json (run crashed before writing it, "
-            "or REPRO_TELEMETRY=off) — journal-only summary"
+            "or REPRO_TELEMETRY=off) — no phase breakdown"
         )
     if report.get("journal_damage"):
         damage = report["journal_damage"]
@@ -287,7 +226,10 @@ def render(report: Dict[str, Any]) -> str:
                 f"{row['accesses']:>10} {row['wall_s']:>8.2f} "
                 f"{rate if rate is not None else '-':>12}"
             )
-        lines.append(f"(wall times from {report['timings_from']})")
+        lines.append(
+            "(wall s: each executed job's time on its worker; jobs that "
+            "share a walk each carry the whole walk)"
+        )
 
     if report["faults"]:
         lines.append("")
@@ -300,11 +242,10 @@ def render(report: Dict[str, Any]) -> str:
         lines.append("")
         lines.append("slowest jobs:")
         for entry in report["slowest"]:
-            worker = f" [{entry['worker']}]" if entry.get("worker") else ""
             lines.append(
                 f"  {entry['wall_s']:>8.2f}s  {entry['label']} "
-                f"({entry['kind']}, attempt {entry['attempt']}, "
-                f"{entry['status']}){worker}"
+                f"({entry['kind']}, attempt {entry['attempt']}) "
+                f"[{entry['worker']}]"
             )
 
     if report["phases"]:

@@ -473,31 +473,15 @@ def read_accesses(
 ) -> Iterator[MemoryAccess]:
     """Replay ``path``'s records as :class:`MemoryAccess` objects.
 
-    Streams the payload in chunks (O(1) memory in trace length) and
-    verifies the footer CRC as it goes; a corrupted payload raises
+    The flattened :func:`read_access_chunks`, so integrity checks run
+    the same decoder every walk runs: O(1) memory in trace length, the
+    footer CRC verified as it goes (a corrupted payload raises
     :class:`TraceFormatError` at the end of the walk, before a consumer
-    can treat the replay as complete. With ``start_record > 0`` the
-    walk seeks via the chunk index and verifies per-chunk CRCs instead
-    (see :func:`read_access_chunks`).
+    can treat the replay as complete), per-chunk CRCs for a windowed
+    replay.
 
     Raises:
         TraceFormatError: on structural damage or a CRC mismatch.
     """
-    path = Path(path)
-    if start_record:
-        for chunk in read_access_chunks(path, start_record):
-            yield from chunk.accesses
-        return
-    for first_index, chunk in _iter_chunk_bytes(path):
-        index = first_index
-        for record in RECORD.iter_unpack(chunk):
-            pc, address, depends, instr_gap, is_write = record
-            yield MemoryAccess(
-                index=index,
-                pc=pc,
-                address=address,
-                is_write=bool(is_write),
-                depends_on=None if depends < 0 else depends,
-                instr_gap=instr_gap,
-            )
-            index += 1
+    for chunk in read_access_chunks(path, start_record):
+        yield from chunk.accesses

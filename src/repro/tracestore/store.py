@@ -48,7 +48,7 @@ from repro.tracestore.codec import (
     read_entry_info,
     read_header,
 )
-from repro.workloads.registry import stream_workload
+from repro.workloads.registry import generator_fingerprint, stream_workload
 
 #: trace keys are (workload, length, seed) — see SimJob.trace_key
 TraceKey = Tuple[str, int, int]
@@ -64,21 +64,25 @@ def _fault_plane():
     return maybe_corrupt_trace, quarantine_file
 
 #: bumped when key derivation or the stored header schema changes
-#: (2: codec v2 — per-chunk byte-offset index in the footer framing)
-STORE_VERSION = 2
+#: (2: codec v2 — per-chunk byte-offset index in the footer framing;
+#: 3: keys name the workload's generator fingerprint)
+STORE_VERSION = 3
 
 
 def trace_key_hash(workload: str, length: int, seed: int) -> str:
     """Stable content hash naming the store entry for one trace key.
 
-    Mixes in the store/codec version so a format bump automatically
-    invalidates (ignores) entries written by older code.
+    Mixes in the workload's generator fingerprint, so an edited
+    workload misses the traces its old generator recorded, and the
+    store/codec version, so a format bump automatically invalidates
+    (ignores) entries written by older code.
     """
     payload = json.dumps(
         {
             "workload": workload,
             "length": length,
             "seed": seed,
+            "generator": generator_fingerprint(workload),
             "store": STORE_VERSION,
         },
         sort_keys=True,
@@ -190,23 +194,20 @@ class TraceStore:
         self.quarantine_entry(key, reason)
         return True
 
-    def was_quarantined(self, key: TraceKey) -> bool:
-        """True when ``key`` has ever had an entry quarantined.
+    def entry_identity(self, key: TraceKey) -> Optional[Tuple[int, int, int]]:
+        """``(inode, mtime_ns, size)`` of ``key``'s entry, or None if absent.
 
-        Evidence check for racing recoverers: a walker that read a
-        damaged entry may find it already quarantined — and freshly
-        republished, clean — by the racer that noticed first. The
-        quarantine directory keeps the damaged file under the key's
-        digest, so its presence licenses retrying a failed walk whose
-        entry now verifies.
+        Every publish renames a fresh file into place, so an identity
+        that differs from one taken earlier means the entry was
+        quarantined or republished since. That is how a failed walk
+        tells "a racing recoverer replaced the entry I read" (retry
+        licensed) from a failure of its own.
         """
-        from repro.engine.faults import QUARANTINE_DIR
-
-        digest = trace_key_hash(*key)
-        quarantine = self.directory / QUARANTINE_DIR
-        if not quarantine.is_dir():
-            return False
-        return any(quarantine.glob(f"{digest}.trace*"))
+        try:
+            stat = self.path_for(key).stat()
+        except FileNotFoundError:
+            return None
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
     def quarantine_entry(self, key: TraceKey, reason: str) -> Optional[Path]:
         """Move ``key``'s damaged entry aside instead of deleting it.

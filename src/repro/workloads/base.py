@@ -11,8 +11,11 @@ generations live at once (§3.1).
 from __future__ import annotations
 
 import abc
+import hashlib
+import inspect
+import json
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trace.container import Trace, TraceSource
 from repro.trace.events import MemoryAccess
@@ -72,9 +75,25 @@ class TraceComponent(abc.ABC):
     #: interleave is uniformly hostile in a way real traces are not.
     run_bursts: int = 1
 
+    def __new__(cls, *args: Any, **kwargs: Any) -> "TraceComponent":
+        component = super().__new__(cls)
+        # kept for constructor_arguments(); __init__ still receives them
+        component._constructed_with = (args, kwargs)
+        return component
+
     @abc.abstractmethod
     def emit_burst(self, trace: Trace, rng: random.Random) -> int:
         """Append one burst of accesses to ``trace``; returns accesses added."""
+
+    def constructor_arguments(self) -> Dict[str, Any]:
+        """Every ``__init__`` argument this component was built with,
+        defaults included — what makes its access stream what it is."""
+        args, kwargs = self._constructed_with
+        bound = inspect.signature(type(self).__init__).bind(
+            self, *args, **kwargs
+        )
+        bound.apply_defaults()
+        return dict(list(bound.arguments.items())[1:])  # drop self
 
 
 class ComposedWorkload:
@@ -97,6 +116,18 @@ class ComposedWorkload:
         self.description = description
         self._components: List[TraceComponent] = [c for c, _ in components]
         self._shares: List[float] = [w / total for _, w in components]
+
+    def fingerprint(self) -> str:
+        """A digest of how this generator is built: category, each
+        component's class and constructor arguments, and its share.
+        Stable across processes (the trace store keys entries by it)."""
+        spec = [
+            [type(component).__name__, component.constructor_arguments(),
+             share]
+            for component, share in zip(self._components, self._shares)
+        ]
+        payload = json.dumps([self.category, spec], sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def trace_metadata(self, n_accesses: int, seed: int) -> dict:
         """Metadata attached to any trace/source generated with these args."""

@@ -12,6 +12,7 @@ supply the unpredictable ("neither") miss share the paper reports
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import Dict, List
 
 from repro.trace.container import TraceSource
@@ -435,6 +436,14 @@ def make_workload(name: str) -> ComposedWorkload:
             f"unknown workload {name!r}; choose from {sorted(_FACTORIES)}"
         ) from None
     return factory()
+
+
+@lru_cache(maxsize=None)
+def generator_fingerprint(name: str) -> str:
+    """The named workload's :meth:`~ComposedWorkload.fingerprint`,
+    computed once per process (the trace store hashes it into every
+    entry's key, so editing a workload misses its old traces)."""
+    return make_workload(name).fingerprint()
 
 
 def stream_workload(name: str, n_accesses: int, seed: int = 42) -> TraceSource:

@@ -34,7 +34,6 @@ from repro.engine import (
     RunJournal,
     SimJob,
     find_run,
-    job_from_description,
     list_runs,
     load_run,
     runs_root,
@@ -289,45 +288,6 @@ class TestTornJournalTails:
                 assert fsck_main(sweep + ["--repair"]) == 0
                 assert journal_path.read_bytes() == valid
                 assert fsck_main(sweep) == 0
-
-
-class TestJobReconstruction:
-    def test_rebuild_preserves_content_hash(self):
-        _, jobs = build_graph()
-        for job in jobs:
-            # through a JSON round trip, as the journal stores it
-            describe = json.loads(json.dumps(job.describe()))
-            rebuilt = job_from_description(describe)
-            assert rebuilt == job
-            assert rebuilt.job_hash == job.job_hash
-
-    def test_rebuild_with_params_and_overrides(self):
-        job = SimJob(
-            kind="timing", workload="apache", length=100, seed=3,
-            system=SystemConfig.tiny(),
-            prefetcher=PrefetcherSpec(kind="stems", with_stride=True,
-                                      overrides=(("depth", 4),)),
-            params=(("window", 16),),
-        )
-        describe = json.loads(json.dumps(job.describe()))
-        assert job_from_description(describe).job_hash == job.job_hash
-
-    def test_record_jobs_verifies_hashes(self, tmp_path):
-        root = tmp_path / "runs"
-        _, jobs = build_graph()
-        journal = RunJournal.create(root, header={"argv": []})
-        for job in jobs[:2]:
-            journal.job_scheduled(job)
-        journal.close()
-        record = load_run(root / journal.run_id)
-        assert [j.job_hash for j in record.jobs()] == [
-            j.job_hash for j in jobs[:2]
-        ]
-        # a forged description no longer matches its recorded hash
-        first = next(iter(record.scheduled))
-        record.scheduled[first] = dict(record.scheduled[first], seed=99)
-        with pytest.raises(JournalError):
-            record.jobs()
 
 
 # -- engine integration ------------------------------------------------------

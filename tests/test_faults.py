@@ -27,6 +27,8 @@ from repro.engine import (
     RetryPolicy,
     SimJob,
 )
+from repro.engine import exec as exec_module
+from repro.engine.exec import execute_job_recovering
 from repro.engine.faultinject import (
     ENV_VAR,
     FaultPlan,
@@ -298,6 +300,90 @@ class TestTraceQuarantine:
         assert not store.has(key)
         assert store.stats.quarantined == 1
         assert list((tmp_path / "quarantine").glob("*.trace"))
+
+
+class TestReplayFallbackLicense:
+    """A pool worker reruns a failed job for free only when the store
+    entry its walk read was damaged or has since been replaced."""
+
+    @pytest.mark.parametrize("quarantined_before", [False, True],
+                             ids=["fresh-store", "quarantined-store"])
+    def test_old_quarantine_evidence_licenses_no_rerun(
+        self, tmp_path, monkeypatch, quarantined_before
+    ):
+        graph = JobGraph()
+        jobs = [
+            graph.add(SimJob(
+                kind="coverage", workload="db2", length=LENGTH, seed=SEED,
+                system=SystemConfig.tiny(),
+                prefetcher=PrefetcherSpec(kind=kind) if kind != "none"
+                else None,
+            ))
+            for kind in PREFETCHERS
+        ]
+        store_dir = tmp_path / "traces"
+        if quarantined_before:
+            # an earlier run quarantined this key's entry
+            store = TraceStore(store_dir)
+            store.record(jobs[0].trace_key)
+            assert store.quarantine_entry(jobs[0].trace_key, "earlier run")
+        # one line per run_group call: pool workers fork after the
+        # patch, so their walks count too
+        walks = tmp_path / "walks.log"
+        real = exec_module.run_group
+
+        def counting(jobs, accesses, attempt=1):
+            with walks.open("a") as handle:
+                handle.write(f"{attempt}\n")
+            return real(jobs, accesses, attempt)
+
+        monkeypatch.setattr(exec_module, "run_group", counting)
+        monkeypatch.setenv(ENV_VAR, "job_fail:1@max_attempt=1")
+        engine = Engine(jobs=2, trace_store=store_dir, broadcast="off")
+        results = engine.run(graph)
+        assert not results.failures()
+        # each job: one failed attempt, one clean retry — no free rerun
+        assert sorted(walks.read_text().split()) == (
+            ["1"] * len(jobs) + ["2"] * len(jobs)
+        )
+        assert engine.stats.retries == len(jobs)
+        assert engine.stats.replay_fallbacks == 0
+
+    @pytest.mark.parametrize("republished", [True, False],
+                             ids=["republished", "quarantined-only"])
+    def test_entry_replaced_by_racing_recoverer_licenses_one_rerun(
+        self, tmp_path, monkeypatch, reference, republished
+    ):
+        _, jobs = build_graph()
+        job = jobs[0]
+        store_dir = tmp_path / "traces"
+        path = TraceStore(store_dir).record(job.trace_key)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # mid-payload: the CRC rejects it
+        path.write_bytes(bytes(data))
+        real = exec_module.run_group
+        raced = []
+
+        def racing(jobs, accesses, attempt=1):
+            try:
+                return real(jobs, accesses, attempt)
+            except Exception:
+                if not raced:
+                    # another worker read the same damage and recovered
+                    # first, before this walk's own damage check
+                    raced.append(True)
+                    racer = TraceStore(store_dir)
+                    assert racer.quarantine_if_damaged(job.trace_key, "race")
+                    if republished:
+                        racer.record(job.trace_key)
+                raise
+
+        monkeypatch.setattr(exec_module, "run_group", racing)
+        store = TraceStore(store_dir)
+        assert execute_job_recovering(job, store) == reference[job.job_hash]
+        assert raced
+        assert store.stats.replay_fallbacks == 1
+        assert store.stats.quarantined == 0  # the racer moved it
 
 
 class TestCacheQuarantine:

@@ -1,6 +1,6 @@
-"""Telemetry plane: registry semantics, spans, mode switching, the
-runner's ``metrics.json``/``trace.json`` artifacts, ``repro-report``,
-and fsck's handling of telemetry files.
+"""Telemetry plane: registry semantics, mode switching, the runner's
+``metrics.json`` artifact, the journal's per-job worker and wall time,
+``repro-report``, and fsck's handling of telemetry files.
 
 Cross-process folding parity (serial vs pool vs broadcast counters) has
 its own tests here plus path-specific ones in ``test_engine.py`` and
@@ -10,8 +10,8 @@ its own tests here plus path-specific ones in ``test_engine.py`` and
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,23 +32,15 @@ from repro.engine.engine import _STAT_FIELDS, EngineStats
 from repro.engine.faultinject import ENV_VAR as FAULT_ENV
 from repro.engine.faultinject import KILL_EXIT_CODE
 from repro.experiments.runner import main as runner_main
+from repro.engine.journal import JOURNAL_NAME, read_journal
 from repro.telemetry import (
     ENV_VAR,
-    HISTOGRAM_BUCKET_BOUNDS,
-    HISTOGRAM_LOG2_MAX,
-    HISTOGRAM_LOG2_MIN,
     METRICS_NAME,
     METRICS_VERSION,
     MODE_BASIC,
     MODE_OFF,
-    MODE_TRACE,
-    TRACE_NAME,
-    AttemptSpan,
-    Histogram,
     MetricsRegistry,
     RunTelemetry,
-    bucket_index,
-    chrome_trace,
     phases_active,
     process_registry,
     resolve_telemetry,
@@ -82,82 +74,35 @@ def build_graph() -> "tuple[JobGraph, list[SimJob]]":
     return graph, jobs
 
 
-# -- histogram buckets (pinned: comparable across every metrics.json) --------
-
-
-class TestHistogramBuckets:
-    def test_bounds_are_pinned(self):
-        # changing any of these breaks cross-PR comparability — the
-        # bounds are part of the metrics.json format, not an impl detail
-        assert HISTOGRAM_LOG2_MIN == -20
-        assert HISTOGRAM_LOG2_MAX == 40
-        assert len(HISTOGRAM_BUCKET_BOUNDS) == 62
-        assert HISTOGRAM_BUCKET_BOUNDS[0] == 2.0 ** -20
-        assert HISTOGRAM_BUCKET_BOUNDS[-2] == 2.0 ** 40
-        assert HISTOGRAM_BUCKET_BOUNDS[-1] == math.inf
-
-    def test_bucket_index_edges(self):
-        assert bucket_index(0.0) == 0
-        assert bucket_index(2.0 ** -30) == 0  # below range clamps low
-        # an exact power of two lands on its own boundary
-        assert HISTOGRAM_BUCKET_BOUNDS[bucket_index(1.0)] == 1.0
-        assert HISTOGRAM_BUCKET_BOUNDS[bucket_index(1.5)] == 2.0
-        # beyond the top boundary lands in the +inf bucket
-        assert bucket_index(2.0 ** 50) == len(HISTOGRAM_BUCKET_BOUNDS) - 1
-
-    def test_every_value_is_counted_by_its_bound(self):
-        for value in (1e-9, 0.003, 1.0, 7.3, 2.0 ** 41):
-            index = bucket_index(value)
-            assert value <= HISTOGRAM_BUCKET_BOUNDS[index]
-            if index > 0:
-                assert value > HISTOGRAM_BUCKET_BOUNDS[index - 1]
-
-    def test_round_trip_through_json(self):
-        hist = Histogram()
-        for value in (0.001, 0.2, 0.2, 3.4, 1e12):
-            hist.observe(value)
-        thawed = Histogram.from_dict(
-            json.loads(json.dumps(hist.as_dict()))
-        )
-        assert thawed.counts == hist.counts
-        assert thawed.sum == pytest.approx(hist.sum)
-        assert thawed.count == hist.count == 5
-
-
 class TestMetricsRegistry:
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         registry = MetricsRegistry()
         registry.inc("a")
         registry.inc("a", 2)
-        registry.set_gauge("g", 7)
+        registry.inc("b.c", 7)
         assert registry.counter("a") == 3
         assert registry.counter("missing") == 0
-        assert registry.gauge("g") == 7
         assert registry.counters("a") == {"a": 3}
+        assert registry.counters("b.") == {"b.c": 7}
 
     def test_delta_since_reports_only_changes(self):
         registry = MetricsRegistry()
         registry.inc("inherited", 10)
-        registry.observe("h", 1.0)
+        registry.inc("untouched", 4)
         snap = registry.snapshot()
         registry.inc("inherited", 2)
         registry.inc("fresh")
-        registry.observe("h", 1.0)
         delta = registry.delta_since(snap)
-        assert delta["counters"] == {"inherited": 2, "fresh": 1}
-        assert delta["histograms"]["h"]["count"] == 1
+        assert delta == {"counters": {"inherited": 2, "fresh": 1}}
 
-    def test_merge_adds_counters_and_histograms(self):
+    def test_merge_adds_counters(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("n", 1)
         b.inc("n", 2)
-        a.observe("h", 0.5)
-        b.observe("h", 0.5)
-        b.set_gauge("g", 9)
+        b.inc("m", 5)
         a.merge(b.data())
-        assert a.counter("n") == 3
-        assert a.histogram("h").count == 2
-        assert a.gauge("g") == 9
+        a.merge(None)  # an envelope without metrics folds nothing
+        assert a.counters() == {"n": 3, "m": 5}
 
     def test_fold_of_deltas_equals_single_registry(self):
         # the cross-process contract: parent.merge(worker.delta) must
@@ -167,25 +112,18 @@ class TestMetricsRegistry:
         worker = MetricsRegistry.from_dict(parent.data())  # fork copies
         snap = worker.snapshot()
         worker.inc("work", 3)
-        worker.observe("h", 0.1)
+        worker.inc("new", 1)
         parent.merge(worker.delta_since(snap))
         assert parent.counter("work") == 8
-        assert parent.histogram("h").count == 1
+        assert parent.counter("new") == 1
 
     def test_as_dict_round_trip_with_version(self):
         registry = MetricsRegistry()
         registry.inc("c", 4)
-        registry.observe("h", 2.5)
         payload = json.loads(json.dumps(registry.as_dict()))
-        assert payload["version"] == METRICS_VERSION
-        assert payload["histogram_log2"] == [
-            HISTOGRAM_LOG2_MIN, HISTOGRAM_LOG2_MAX
-        ]
+        assert payload == {"counters": {"c": 4}, "version": METRICS_VERSION}
         thawed = MetricsRegistry.from_dict(payload)
         assert thawed.counter("c") == 4
-        assert thawed.histogram("h").as_dict() == (
-            registry.histogram("h").as_dict()
-        )
 
 
 # -- mode switch -------------------------------------------------------------
@@ -196,14 +134,15 @@ class TestModeResolution:
         assert resolve_telemetry() == MODE_BASIC
 
     def test_environment_selects(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "trace")
-        assert resolve_telemetry() == MODE_TRACE
+        monkeypatch.setenv(ENV_VAR, "OFF")
+        assert resolve_telemetry() == MODE_OFF
 
     def test_argument_beats_environment(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "off")
-        assert resolve_telemetry("trace") == MODE_TRACE
+        assert resolve_telemetry("basic") == MODE_BASIC
 
-    @pytest.mark.parametrize("bad", ["loud", "ON AIR", "1"])
+    # ``trace`` (the removed Chrome-trace mode) is unknown like any other
+    @pytest.mark.parametrize("bad", ["loud", "ON AIR", "1", "trace"])
     def test_unknown_mode_rejected(self, bad):
         with pytest.raises(ValueError):
             resolve_telemetry(bad)
@@ -245,53 +184,7 @@ class TestEngineStatsView:
         assert engine.telemetry.registry.counter("engine.retries") == 1
 
 
-# -- spans and the Chrome trace rendering ------------------------------------
-
-
-class TestSpans:
-    def test_round_trip(self):
-        span = AttemptSpan(job_hash="ab" * 32, label="cov:db2:stems",
-                           kind="coverage", attempt=2, worker="worker-9",
-                           queued=10.0, start=11.0, end=12.5, status="ok",
-                           wall_s=1.5, cpu_s=1.4, detail={"store": "hit"})
-        thawed = AttemptSpan.from_dict(
-            json.loads(json.dumps(span.to_dict()))
-        )
-        assert thawed == span
-
-    def test_chrome_trace_one_track_per_worker(self):
-        spans = [
-            AttemptSpan(job_hash="a" * 64, label="j1", kind="coverage",
-                        worker="worker-1", start=100.0, end=101.0,
-                        status="ok", wall_s=1.0),
-            AttemptSpan(job_hash="b" * 64, label="j2", kind="coverage",
-                        worker="worker-2", start=100.5, end=101.5,
-                        status="ok", wall_s=1.0),
-            AttemptSpan(job_hash="c" * 64, label="j3", kind="timing",
-                        worker="worker-1", start=101.0, end=102.0,
-                        status="failed", wall_s=1.0),
-        ]
-        trace = chrome_trace(spans, "run-1")
-        events = trace["traceEvents"]
-        names = {e["args"]["name"] for e in events if e["ph"] == "M"
-                 and e["name"] == "thread_name"}
-        assert names == {"main", "worker-1", "worker-2"}
-        slices = [e for e in events if e["ph"] == "X"]
-        assert len(slices) == 3
-        # the two worker-1 spans share a tid; worker-2 has its own
-        by_worker = {}
-        for event, span in zip(slices, spans):
-            by_worker.setdefault(span.worker, set()).add(event["tid"])
-        assert all(len(tids) == 1 for tids in by_worker.values())
-        assert by_worker["worker-1"] != by_worker["worker-2"]
-        # timestamps are relative to the earliest start, microseconds
-        assert min(e["ts"] for e in slices) == 0
-        assert all(e["dur"] == pytest.approx(1e6) for e in slices)
-
-    def test_unstarted_spans_are_skipped(self):
-        spans = [AttemptSpan(job_hash="a" * 64, label="j", kind="coverage")]
-        trace = chrome_trace(spans, "run")
-        assert [e for e in trace["traceEvents"] if e["ph"] == "X"] == []
+# -- RunTelemetry.write --------------------------------------------------------
 
 
 class TestRunTelemetryWrite:
@@ -299,8 +192,6 @@ class TestRunTelemetryWrite:
         telemetry = RunTelemetry(mode=mode)
         _, jobs = build_graph()
         for job in jobs[:2]:
-            telemetry.job_scheduled(job)
-            telemetry.attempt_started(job.job_hash, 1)
             telemetry.job_finished(job, ok=True)
         return telemetry
 
@@ -312,27 +203,11 @@ class TestRunTelemetryWrite:
         written = self._collect(MODE_BASIC).write(tmp_path, "run-1")
         assert [p.name for p in written] == [METRICS_NAME]
         payload = json.loads((tmp_path / METRICS_NAME).read_text())
+        assert sorted(payload) == ["counters", "mode", "run", "version"]
         assert payload["run"] == "run-1"
         assert payload["mode"] == MODE_BASIC
         assert payload["counters"]["jobs.completed.coverage"] == 2
         assert payload["counters"]["walk.accesses.coverage"] == 2 * LENGTH
-        assert len(payload["spans"]) == 2
-        assert payload["histograms"]["job.wall_seconds"]["count"] == 2
-
-    def test_trace_mode_adds_chrome_trace(self, tmp_path):
-        written = self._collect(MODE_TRACE).write(tmp_path, "run-1")
-        assert [p.name for p in written] == [METRICS_NAME, TRACE_NAME]
-        trace = json.loads((tmp_path / TRACE_NAME).read_text())
-        assert len([e for e in trace["traceEvents"] if e["ph"] == "X"]) == 2
-
-    def test_open_spans_written_as_open(self, tmp_path):
-        telemetry = RunTelemetry(mode=MODE_BASIC)
-        _, jobs = build_graph()
-        telemetry.job_scheduled(jobs[0])
-        telemetry.attempt_started(jobs[0].job_hash, 1)
-        telemetry.write(tmp_path)  # crash-shaped: span never closed
-        payload = json.loads((tmp_path / METRICS_NAME).read_text())
-        assert [s["status"] for s in payload["spans"]] == ["open"]
 
     def test_counters_always_fold_even_when_off(self):
         # EngineStats reads jobs.* through the same registry, so the
@@ -341,7 +216,6 @@ class TestRunTelemetryWrite:
         _, jobs = build_graph()
         telemetry.job_finished(jobs[0], ok=True)
         assert telemetry.registry.counter("jobs.completed.coverage") == 1
-        assert telemetry.spans == []
 
 
 # -- cross-process folding parity --------------------------------------------
@@ -410,6 +284,53 @@ class TestFoldingParity:
                        for name in delta["counters"])
 
 
+# -- the journal's per-job run record -----------------------------------------
+
+
+def _completions(journal: RunJournal) -> "list[dict]":
+    events, _, _ = read_journal(journal.directory / JOURNAL_NAME)
+    return [event for event in events if event["event"] == "job_completed"]
+
+
+class TestJournalRunRecord:
+    """Every executed job's ``job_completed`` event names the worker it
+    ran on and its wall seconds there — in every execution path and
+    every telemetry mode."""
+
+    @pytest.mark.parametrize("kwargs, worker, mode", [
+        (dict(jobs=1), r"main", MODE_BASIC),
+        (dict(jobs=2, broadcast="off"), r"worker-\d+", MODE_BASIC),
+        (dict(jobs=2, broadcast="on"), r"bundle-\d+", MODE_BASIC),
+        (dict(jobs=2, broadcast="off"), r"worker-\d+", MODE_OFF),
+    ], ids=["serial", "pool", "broadcast", "pool-telemetry-off"])
+    def test_executed_jobs_name_worker_and_wall(self, tmp_path, monkeypatch,
+                                                kwargs, worker, mode):
+        monkeypatch.setenv(ENV_VAR, mode)
+        graph, jobs = build_graph()
+        journal = RunJournal.create(tmp_path / "runs", header={"argv": []})
+        Engine(trace_store=tmp_path / "store", journal=journal,
+               **kwargs).run(graph)
+        journal.finish("clean")
+        completions = _completions(journal)
+        assert len(completions) == len(jobs)
+        for event in completions:
+            assert event["source"] == "executed"
+            assert re.fullmatch(worker, event["worker"]), event
+            assert event["wall_s"] > 0
+
+    def test_cache_served_jobs_carry_no_worker(self, tmp_path):
+        Engine(cache_dir=tmp_path / "cache").run(build_graph()[0])
+        journal = RunJournal.create(tmp_path / "runs", header={"argv": []})
+        Engine(cache_dir=tmp_path / "cache", journal=journal).run(
+            build_graph()[0]
+        )
+        journal.finish("clean")
+        completions = _completions(journal)
+        assert completions
+        assert all(event["source"] == "cache" and "worker" not in event
+                   for event in completions)
+
+
 # -- runner integration ------------------------------------------------------
 
 
@@ -428,17 +349,14 @@ class TestRunnerIntegration:
     def test_basic_writes_metrics_json(self, tmp_path, capsys):
         assert runner_main(_runner_argv(tmp_path)) == 0
         run_dir = _run_dir(tmp_path)
-        assert (run_dir / METRICS_NAME).is_file()
-        assert not (run_dir / TRACE_NAME).exists()
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            JOURNAL_NAME, METRICS_NAME,
+        ]
+        payload = json.loads((run_dir / METRICS_NAME).read_text())
+        assert sorted(payload) == ["counters", "mode", "run", "version"]
         err = capsys.readouterr().err
         assert "[engine:" in err
         assert METRICS_NAME in err
-
-    def test_trace_mode_writes_trace_json(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, MODE_TRACE)
-        assert runner_main(_runner_argv(tmp_path)) == 0
-        trace = json.loads((_run_dir(tmp_path) / TRACE_NAME).read_text())
-        assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
     def test_off_mode_writes_nothing_keeps_oneliner(self, tmp_path,
                                                     monkeypatch, capsys):
@@ -451,6 +369,12 @@ class TestRunnerIntegration:
         # telemetry notes
         assert "[engine:" in err
         assert "telemetry" not in err
+
+    def test_former_trace_mode_exits_2(self, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setenv(ENV_VAR, "trace")
+        assert runner_main(_runner_argv(tmp_path)) == 2
+        assert "unknown telemetry mode 'trace'" in capsys.readouterr().err
 
     def test_invalid_mode_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(ENV_VAR, "loud")
@@ -483,7 +407,7 @@ class TestReportTool:
         assert "clean" in out
         assert "repetition" in out       # the per-kind table
         assert "phase breakdown" in out
-        assert "journal-only" not in out
+        assert "no metrics.json" not in out
 
     def test_json_mode(self, tmp_path, capsys):
         assert runner_main(_runner_argv(tmp_path)) == 0
@@ -496,7 +420,8 @@ class TestReportTool:
         assert report["jobs"]["scheduled"] == 1
         assert report["jobs"]["completed"] == 1
         assert report["kinds"]["repetition"]["accesses"] > 0
-        assert report["timings_from"] == "spans"
+        assert report["kinds"]["repetition"]["wall_s"] > 0
+        assert [entry["worker"] for entry in report["slowest"]] == ["main"]
 
     def test_degraded_run_shows_faults(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(FAULT_ENV, "job_fail:1")
@@ -527,10 +452,20 @@ class TestReportTool:
         out = capsys.readouterr().out
         assert rc == 0
         assert "crashed" in out
-        assert "journal-only" in out
+        assert "no metrics.json" in out
+        assert "phase breakdown (in-worker" not in out
         assert f"{len(jobs)} scheduled" in out
-        # journal t-timestamps still give wall times
-        assert "(wall times from journal)" in out
+        # the journal alone still gives every job's accesses, wall
+        # time and worker
+        assert report_main([journal.run_id, "--json",
+                            "--cache-dir", str(tmp_path / "cache")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        coverage = report["kinds"]["coverage"]
+        assert coverage["accesses"] == len(jobs) * LENGTH
+        assert coverage["wall_s"] > 0
+        assert [entry["worker"] for entry in report["slowest"]] == (
+            ["main"] * 5
+        )
 
     def test_resumed_run_pair(self, tmp_path, capsys):
         env = dict(os.environ)
@@ -558,12 +493,19 @@ class TestReportTool:
         )
         assert resumed.returncode == 0, resumed.stderr
 
-        # the crashed run reports journal-only and names its successor
+        # the crashed run reports from its journal and names its
+        # successor; every job it completed names its worker
         assert report_main([crashed.run_id,
                             "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "crashed" in out and "resumed by" in out
-        assert "journal-only" in out
+        assert "no metrics.json" in out
+        assert report_main([crashed.run_id, "--json",
+                            "--cache-dir", str(tmp_path / "cache")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["jobs"]["completed"] > 0
+        assert report["slowest"]
+        assert all(entry["worker"] == "main" for entry in report["slowest"])
         # the resuming run has full telemetry and cache-sourced jobs
         assert report_main(["last",
                             "--cache-dir", str(tmp_path / "cache"),

@@ -2,6 +2,8 @@
 engine's multi-consumer fan-out / replay scheduling built on top of it."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +26,12 @@ from repro.tracestore import (
     write_trace,
 )
 from repro.tracestore.codec import FOOTER_SIZE, RECORD_SIZE
-from repro.workloads.registry import make_workload, stream_workload
+from repro.workloads import registry
+from repro.workloads.registry import (
+    generator_fingerprint,
+    make_workload,
+    stream_workload,
+)
 
 LENGTH = 6_000
 SEED = 11
@@ -113,6 +120,35 @@ class TestTraceStore:
         assert path.parent.name == digest[:2]
         assert path.name == f"{digest}.trace"
         assert trace_key_hash("db2", LENGTH, SEED + 1) != digest
+
+    def test_edited_generator_misses_the_store(self, tmp_path, monkeypatch):
+        store = TraceStore(tmp_path)
+        key = ("em3d", 2_000, SEED)
+        store.record(key)
+        original = registry.GraphTraversalComponent
+
+        def fewer_nodes(**kwargs):
+            return original(**dict(kwargs, num_nodes=3_000))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(registry, "GraphTraversalComponent", fewer_nodes)
+            generator_fingerprint.cache_clear()
+            try:
+                assert not store.has(key)  # no stale replay of the old graph
+            finally:
+                generator_fingerprint.cache_clear()
+        assert store.has(key)  # the unedited generator still hits
+
+    def test_generator_fingerprint_is_stable_across_processes(self):
+        code = (
+            "from repro.workloads.registry import generator_fingerprint; "
+            "print(generator_fingerprint('em3d'))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONHASHSEED": "123"},
+        )
+        assert child.stdout.strip() == generator_fingerprint("em3d")
 
     def test_record_during_walk_publishes_after_full_pass(
         self, tmp_path, generated
