@@ -3,8 +3,11 @@
 
 Records the reference two-figure sweep's traces (fig9 coverage + fig10
 timing) into a warm trace store, then measures replay throughput per
-job kind. The measurement uses the engine's serial fan-out (``--jobs 1``
-default): one chunk decode + pre-pass feeds every consumer of a trace
+job kind, plus ``baseline_replay``: the fig6-fig8 analyses and fig9's
+no-prefetcher coverage jobs run as one graph, so each trace key's four
+jobs share one no-prefetcher hierarchy replay. The measurement uses the
+engine's serial fan-out (``--jobs 1`` default): one chunk decode +
+pre-pass feeds every consumer of a trace
 key, which is precisely the walk's fast path (a worker pool instead
 re-decodes per process and measures multiprocessing overhead, not the
 walk). Each measurement takes the best of ``--repeat`` runs so
@@ -18,7 +21,7 @@ accesses/second per job kind. The record's PR number is parsed from the
 Used by CI; also runnable by hand::
 
     python benchmarks/kernel_smoke.py
-    python benchmarks/kernel_smoke.py --bench-out BENCH_8.json
+    python benchmarks/kernel_smoke.py --bench-out BENCH_18.json
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.engine import Engine, JobGraph  # noqa: E402
-from repro.experiments import fig9, fig10  # noqa: E402
+from repro.experiments import fig6, fig7, fig8, fig9, fig10  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.tracestore import TraceStore  # noqa: E402
 
@@ -48,12 +51,26 @@ def declare(config: ExperimentConfig) -> JobGraph:
     return graph
 
 
+def baseline_replay_jobs(config: ExperimentConfig) -> list:
+    """fig6-fig8 plus fig9's no-prefetcher coverage jobs: per trace key,
+    the four members of one shared baseline replay."""
+    graph = JobGraph()
+    for module in (fig6, fig7, fig8):
+        module.declare(config, graph)
+    baselines = [
+        job for job in declare(config)
+        if job.kind == "coverage" and job.prefetcher is None
+    ]
+    return list(graph) + baselines
+
+
 def _kind_throughput(config: ExperimentConfig, store_dir: str, jobs: int,
                      repeat: int) -> "dict[str, dict[str, float]]":
     """Best-of-``repeat`` accesses/sec per job kind over the warm store."""
     by_kind: "dict[str, list]" = {}
     for job in declare(config):
         by_kind.setdefault(job.kind, []).append(job)
+    by_kind["baseline_replay"] = baseline_replay_jobs(config)
     out: "dict[str, dict[str, float]]" = {}
     for kind, kind_jobs in sorted(by_kind.items()):
         best = None
@@ -117,6 +134,8 @@ def main(argv=None) -> int:
         "pr": pr_number_from_bench_out(args.bench_out),
         "sweep": {
             "figures": ["fig9", "fig10"],
+            # the baseline_replay kind: fig6-fig8 + fig9's baselines
+            "baseline_replay": ["fig6", "fig7", "fig8", "fig9:none"],
             "workloads": config.workloads,
             "trace_length": config.trace_length,
             "jobs": args.jobs,

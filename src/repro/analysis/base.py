@@ -8,28 +8,35 @@ Nothing in the lifecycle requires an in-memory trace, so any
 lazy ``TraceSource`` — can be analyzed in a single pass with peak memory
 independent of trace length (bounded by the workload's address footprint
 and the analysis' own window sizes, never by the access count).
+
+The analyses share one miss definition — the no-prefetcher hierarchy's
+— so each is a member of a :class:`~repro.sim.driver.BaselineReplay`
+that steps the hierarchy and generation table for all its members.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
 from repro.common.config import SystemConfig
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
-from repro.memsys.hierarchy import Hierarchy, ServiceLevel
-from repro.prefetch.sms.generations import ActiveGenerationTable
+from repro.sim.driver import BaselineReplay
 from repro.trace.events import MemoryAccess
 
 
 class StreamingAnalysis(abc.ABC):
     """One-pass trace consumer with an ``update()``/``finalize()`` lifecycle.
 
-    Subclasses implement ``_update`` (observe one access) and ``_finalize``
-    (assemble the result); the base class enforces the lifecycle: an
-    analysis accepts accesses until it is finalized, yields its result
-    exactly once, and rejects any use afterwards.
+    Subclasses define ``_observe(access, block, level, generation)`` (per
+    replayed access) and/or ``_on_generation_end(record)`` (per completed
+    spatial generation), and ``_finalize`` (assemble the result); the
+    base class enforces the lifecycle: an analysis accepts accesses until
+    it is finalized, yields its result exactly once, and rejects any use
+    afterwards.
+
+    Standalone, an analysis rides a private replay of one, built at its
+    first access; the engine :meth:`attach` es it to a shared replay.
 
     Typical use::
 
@@ -37,10 +44,34 @@ class StreamingAnalysis(abc.ABC):
         for access in trace_source:     # never materialized
             analysis.update(access)
         result = analysis.finalize()
+
+    Args:
+        system: cache geometry used to identify off-chip misses.
     """
 
-    def __init__(self) -> None:
+    #: per-access hook, or None for analyses that account only generations
+    _observe: Optional[Callable] = None
+    #: completed-generation hook, or None
+    _on_generation_end: Optional[Callable] = None
+
+    def __init__(self, system: SystemConfig) -> None:
         self._finalized = False
+        self._system = system
+        self._amap = system.address_map
+        self._replay: Optional[BaselineReplay] = None
+
+    def attach(self, replay: BaselineReplay) -> None:
+        """Ride ``replay`` (before its first access) instead of a private
+        one; the caller steps it."""
+        if self._replay is not None:
+            raise RuntimeError(f"{type(self).__name__} already rides a replay")
+        replay.join(self._observe, self._on_generation_end, generations=True)
+        self._replay = replay
+
+    def _own_replay(self) -> BaselineReplay:
+        if self._replay is None:
+            self.attach(BaselineReplay(self._system))
+        return self._replay
 
     def update(self, access: MemoryAccess) -> None:
         """Observe one access.
@@ -55,18 +86,15 @@ class StreamingAnalysis(abc.ABC):
             raise RuntimeError(
                 f"{type(self).__name__}.update() called after finalize()"
             )
-        self._update(access)
+        self._own_replay().step(access, self._amap.block_of(access.address))
 
     def update_block(self, chunk: AccessChunk) -> None:
         """Observe one whole :class:`~repro.kernels.AccessChunk`.
 
-        The chunk-level entry point of the trace walk: the lifecycle
-        check runs once per chunk and the per-access hook is driven by a
-        C-level ``map``. The base implementation feeds ``_update`` in
-        order — bit-identical to calling :meth:`update` per access —
-        and subclasses whose state updates are associative over a chunk
-        (hierarchy-replay accounting with precomputed block ids)
-        override it with a batched version.
+        The chunk-level entry point of the trace walk — bit-identical to
+        calling :meth:`update` per access: the lifecycle check runs once
+        per chunk, block ids come from the chunk's pre-pass and the
+        replay's per-access step runs inside one C-driven ``map``.
 
         Raises:
             RuntimeError: if the analysis has already been finalized.
@@ -75,7 +103,7 @@ class StreamingAnalysis(abc.ABC):
             raise RuntimeError(
                 f"{type(self).__name__}.update_block() called after finalize()"
             )
-        deque(map(self._update, chunk.accesses), maxlen=0)
+        self._own_replay().step_chunk(chunk)
 
     def finalize(self) -> Any:
         """Close the analysis and return its result (exactly once).
@@ -91,6 +119,8 @@ class StreamingAnalysis(abc.ABC):
                 f"{type(self).__name__}.finalize() called twice"
             )
         self._finalized = True
+        if self._replay is not None:
+            self._replay.finish()
         return self._finalize()
 
     def consume(self, accesses: Iterable[MemoryAccess]) -> Any:
@@ -110,89 +140,5 @@ class StreamingAnalysis(abc.ABC):
         return self.finalize()
 
     @abc.abstractmethod
-    def _update(self, access: MemoryAccess) -> None:
-        """Observe one access (subclass hook; lifecycle already checked)."""
-
-    @abc.abstractmethod
     def _finalize(self) -> Any:
         """Assemble and return the result (subclass hook)."""
-
-
-class HierarchyReplayAnalysis(StreamingAnalysis):
-    """Streaming analysis that replays accesses through a cache hierarchy.
-
-    The Figure 6-8 analyses all share the same per-access plumbing: map
-    the address to a block, walk it through a private hierarchy to learn
-    whether it misses off-chip, and (for the spatial analyses) feed the
-    SMS active-generation table, forwarding L1 evictions so generations
-    end exactly as they would in the real mechanism. Centralizing that
-    walk keeps the analyses' miss definitions in lockstep; subclasses
-    implement :meth:`_observe` with their own accounting.
-
-    Args:
-        system: cache geometry used to identify off-chip misses.
-        use_agt: track spatial generations (the temporal-only analyses
-            skip the table entirely; it never affects the hierarchy).
-        on_generation_end: callback handed to the generation table.
-        agt_entries: active-generation-table capacity.
-    """
-
-    def __init__(
-        self,
-        system: SystemConfig,
-        use_agt: bool = True,
-        on_generation_end: Optional[Callable] = None,
-        agt_entries: int = 64,
-    ) -> None:
-        super().__init__()
-        self._amap = system.address_map
-        self._block_bits = self._amap.block_bits
-        self._hierarchy = Hierarchy(system)
-        self._agt: Optional[ActiveGenerationTable] = (
-            ActiveGenerationTable(
-                agt_entries, self._amap, on_generation_end=on_generation_end
-            )
-            if use_agt
-            else None
-        )
-
-    def update_block(self, chunk: AccessChunk) -> None:
-        """Batched hierarchy replay: block ids come from the chunk's
-        vectorized pre-pass instead of a per-access ``block_of`` call,
-        and the per-access hook runs inside one C-driven ``map``."""
-        if self._finalized:
-            raise RuntimeError(
-                f"{type(self).__name__}.update_block() called after finalize()"
-            )
-        deque(
-            map(self._step, chunk.accesses, chunk.blocks_for(self._block_bits)),
-            maxlen=0,
-        )
-
-    def _update(self, access: MemoryAccess) -> None:
-        self._step(access, access.address >> self._block_bits)
-
-    def _step(self, access: MemoryAccess, block: int) -> None:
-        level, evicted, _ = self._hierarchy.access(block)
-        offchip = level is ServiceLevel.MEMORY
-        agt = self._agt
-        if agt is not None:
-            observed = agt.observe(access.pc, block, offchip)
-            if evicted is not None:
-                agt.on_l1_eviction(evicted)
-        else:
-            observed = None
-        self._observe(access, block, offchip, observed)
-
-    @abc.abstractmethod
-    def _observe(self, access: MemoryAccess, block: int, offchip: bool,
-                 generation) -> None:
-        """Account one replayed access.
-
-        Args:
-            access: the trace record just replayed.
-            block: its block id.
-            offchip: True when the hierarchy serviced it from memory.
-            generation: the generation table's ``(is_trigger, record)``
-                observe result, or None when ``use_agt`` is False.
-        """

@@ -22,10 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.analysis.base import HierarchyReplayAnalysis
+from repro.analysis.base import StreamingAnalysis
 from repro.common.config import SystemConfig
 from repro.prefetch.sms.generations import GenerationRecord, SpatialIndex
-from repro.trace.events import MemoryAccess
 
 
 @dataclass
@@ -81,7 +80,7 @@ class CorrelationDistanceResult:
         return rows
 
 
-class CorrelationDistanceAnalysis(HierarchyReplayAnalysis):
+class CorrelationDistanceAnalysis(StreamingAnalysis):
     """Incremental Fig. 8 scorer over one access stream.
 
     Args:
@@ -90,9 +89,7 @@ class CorrelationDistanceAnalysis(HierarchyReplayAnalysis):
     """
 
     def __init__(self, system: SystemConfig, workload: str = "") -> None:
-        super().__init__(
-            system, on_generation_end=self._on_generation_end
-        )
+        super().__init__(system)
         self._result = CorrelationDistanceResult(workload=workload)
         #: last completed sequence per spatial index
         self._prior: Dict[SpatialIndex, List[int]] = {}
@@ -112,10 +109,5 @@ class CorrelationDistanceAnalysis(HierarchyReplayAnalysis):
                 continue
             result.histogram[pb - pa] += 1
 
-    def _observe(self, access: MemoryAccess, block: int, offchip: bool,
-                 generation) -> None:
-        pass  # all accounting happens at generation end
-
     def _finalize(self) -> CorrelationDistanceResult:
-        self._agt.flush()
         return self._result

@@ -36,8 +36,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set
 
-from repro.analysis.base import HierarchyReplayAnalysis
+from repro.analysis.base import StreamingAnalysis
 from repro.common.config import SystemConfig
+from repro.memsys.hierarchy import ServiceLevel
 from repro.prefetch.sms.generations import SpatialIndex
 from repro.trace.events import MemoryAccess
 
@@ -80,8 +81,10 @@ class JointCoverageResult:
 #: mechanisms use a lookahead of 8, §4.3)
 TEMPORAL_WINDOW = 8
 
+_MEMORY = ServiceLevel.MEMORY
 
-class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
+
+class JointPredictabilityAnalysis(StreamingAnalysis):
     """Incremental Fig. 6 classifier over one access stream.
 
     Args:
@@ -99,9 +102,7 @@ class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
         measure_from: int = 0,
         workload: str = "",
     ) -> None:
-        super().__init__(
-            system, on_generation_end=self._on_generation_end
-        )
+        super().__init__(system)
         if measure_from < 0:
             raise ValueError(f"measure_from must be >= 0, got {measure_from}")
         self.workload = workload
@@ -123,9 +124,9 @@ class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
             e.offset for e in record.elements
         }
 
-    def _observe(self, access: MemoryAccess, block: int, offchip: bool,
+    def _observe(self, access: MemoryAccess, block: int, level,
                  generation) -> None:
-        if not offchip or access.is_write:
+        if level is not _MEMORY or access.is_write:
             return
         measured = access.index >= self.measure_from
         if measured:
@@ -172,7 +173,6 @@ class JointPredictabilityAnalysis(HierarchyReplayAnalysis):
                 self._counts["neither"] += 1
 
     def _finalize(self) -> JointCoverageResult:
-        self._agt.flush()
         misses = self._misses
         if misses == 0:
             return JointCoverageResult(self.workload, 0, 0.0, 0.0, 0.0, 0.0)

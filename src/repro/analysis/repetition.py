@@ -26,13 +26,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.base import HierarchyReplayAnalysis, StreamingAnalysis
+from repro.analysis.base import StreamingAnalysis
 from repro.analysis.sequitur import Rule, Sequitur
 from repro.common.config import SystemConfig
+from repro.memsys.hierarchy import ServiceLevel
 from repro.trace.events import MemoryAccess
 
 #: classification labels in display order
 CATEGORIES = ("opportunity", "head", "new", "non_repetitive")
+
+_MEMORY = ServiceLevel.MEMORY
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def classify_repetition(sequence: Sequence[Hashable]) -> RepetitionBreakdown:
     )
 
 
-class MissSequenceExtractor(HierarchyReplayAnalysis):
+class MissSequenceExtractor(StreamingAnalysis):
     """Incremental hierarchy replay collecting miss / trigger block ids.
 
     Args:
@@ -129,19 +132,18 @@ class MissSequenceExtractor(HierarchyReplayAnalysis):
         self.misses: Deque[int] = deque(maxlen=max_elements)
         self.triggers: Deque[int] = deque(maxlen=max_elements)
 
-    def _observe(self, access: MemoryAccess, block: int, offchip: bool,
+    def _observe(self, access: MemoryAccess, block: int, level,
                  generation) -> None:
-        if offchip and not access.is_write:
+        if level is _MEMORY and not access.is_write:
             self.misses.append(block)
-            is_trigger, _ = generation
-            if is_trigger:
+            if generation[0]:
                 self.triggers.append(block)
 
     def _finalize(self) -> Tuple[List[int], List[int]]:
         return list(self.misses), list(self.triggers)
 
 
-class RepetitionAnalysis(StreamingAnalysis):
+class RepetitionAnalysis(MissSequenceExtractor):
     """Incremental Fig. 7 analysis: Sequitur over the trailing miss tail.
 
     Args:
@@ -157,21 +159,9 @@ class RepetitionAnalysis(StreamingAnalysis):
         max_elements: int = 60000,
         workload: str = "",
     ) -> None:
-        super().__init__()
+        super().__init__(system, max_elements)
         self.workload = workload
-        self._extractor = MissSequenceExtractor(system, max_elements)
-
-    def _update(self, access: MemoryAccess) -> None:
-        self._extractor.update(access)
-
-    def update_block(self, chunk) -> None:
-        """Forward whole chunks to the wrapped extractor's batched replay."""
-        if self._finalized:
-            raise RuntimeError(
-                f"{type(self).__name__}.update_block() called after finalize()"
-            )
-        self._extractor.update_block(chunk)
 
     def _finalize(self) -> Tuple[RepetitionBreakdown, RepetitionBreakdown]:
-        misses, triggers = self._extractor.finalize()
+        misses, triggers = super()._finalize()
         return classify_repetition(misses), classify_repetition(triggers)

@@ -535,17 +535,15 @@ class Engine:
         Folds the walk's trace-plane cost into :attr:`stats`: the
         store's accounting delta (replay, or record while walking), or
         one generation pass without a store; every job not needing a
-        pass of its own counts as saved. Each job is credited the whole
-        walk's wall time on worker ``main``. A walk that raises folds
-        nothing.
+        pass of its own counts as saved. Each job is credited its own
+        walk and finalize seconds (as :func:`run_group` reports them) on
+        worker ``main``. A walk that raises folds nothing.
         """
         store = self.trace_store
         before = store.stats.as_dict() if store is not None else None
-        start = time.perf_counter()
         results = run_group(jobs, job_trace(jobs[0], store), attempt)
-        ran = ("main", time.perf_counter() - start)
-        for job in jobs:
-            self._ran[job.job_hash] = ran
+        for (job, _), seconds in zip(results, results.seconds):
+            self._ran[job.job_hash] = ("main", seconds)
         if store is None:
             delta = {"generated": 1}
         else:
@@ -714,7 +712,7 @@ class Engine:
                     ring.detach(index)  # its free tokens are gone with it
                     proc.join()
                     self.telemetry.registry.merge(shared.pop("metrics", None))
-                    ran = (shared.pop("worker"), shared.pop("wall_s"))
+                    worker = shared.pop("worker")
                     stats.broadcast_chunks += shared["broadcast_chunks"]
                     stats.bytes_shared += shared["bytes_shared"]
                     stats.broadcast_fallbacks += shared["broadcast_fallbacks"]
@@ -727,8 +725,8 @@ class Engine:
                         stats.passes_saved += len(body) - (
                             store_delta or {}
                         ).get("generated", 0)
-                        for job_hash, result in body:
-                            self._ran[job_hash] = ran
+                        for job_hash, result, seconds in body:
+                            self._ran[job_hash] = (worker, seconds)
                             yield by_hash[job_hash], result
                     else:
                         for job in bundle:

@@ -57,7 +57,7 @@ from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.stems.stems import STeMSPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
-from repro.sim.driver import SimulationDriver
+from repro.sim.driver import BaselineReplay, SimulationDriver
 from repro.sim.timing import TimingModel
 from repro.telemetry import (
     PHASE_FINALIZE, PHASE_WALK, phases_active, process_registry,
@@ -170,59 +170,70 @@ def analysis_for_job(job: SimJob) -> Any:
 
 
 class _DriverConsumer:
-    """Push-mode coverage run: a driver walk fed one precomputed chunk
-    at a time (``update_block``)."""
+    """Push-mode coverage or timing run: a driver walk fed one
+    precomputed chunk at a time (``update_block``). A timing job's
+    payload is its model's result; its coverage accounting is
+    discarded."""
 
-    __slots__ = ("_walk", "update_block")
+    __slots__ = ("_walk", "_model", "update_block")
 
-    def __init__(self, job: SimJob, driver: SimulationDriver) -> None:
-        self._walk = driver.start(job.workload)
+    def __init__(self, job: SimJob, driver: SimulationDriver,
+                 replay: Optional[BaselineReplay] = None) -> None:
+        self._walk = driver.start(job.workload, replay)
+        self._model = driver.service_consumer
         self.update_block = self._walk.step_chunk
 
     def finalize(self) -> Any:
-        return self._walk.finish()
+        coverage = self._walk.finish()
+        return coverage if self._model is None else self._model.finalize()
 
 
-class _TimingConsumer(_DriverConsumer):
-    """Coverage walk feeding the incremental timing model; the timing
-    result is the job's payload, the coverage accounting is discarded."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, job: SimJob, driver: SimulationDriver, model) -> None:
-        super().__init__(job, driver)
-        self._model = model
-
-    def finalize(self) -> Any:
-        self._walk.finish()
-        return self._model.finalize()
+_ANALYSIS_KINDS = (KIND_JOINT, KIND_REPETITION, KIND_CORRELATION)
 
 
-def job_consumer(job: SimJob) -> Any:
+def observes_baseline(job: SimJob) -> bool:
+    """Whether ``job`` — an analysis, or a walk without a prefetcher —
+    only observes the no-prefetcher hierarchy and so may share a
+    :class:`~repro.sim.driver.BaselineReplay`. A walk whose prefetcher
+    installs into the L1 or streams into an SVB never does."""
+    spec = job.prefetcher
+    return job.kind in _ANALYSIS_KINDS or spec is None or spec.kind == "none"
+
+
+def job_consumer(job: SimJob, replay: Optional[BaselineReplay] = None) -> Any:
     """An ``update_block(chunk)`` / ``finalize()`` consumer executing ``job``.
 
     Analysis jobs are :class:`~repro.analysis.base.StreamingAnalysis`
     instances already; coverage and timing jobs wrap a pushed
-    :class:`~repro.sim.driver.DriverWalk`.
+    :class:`~repro.sim.driver.DriverWalk`. With ``replay``, a job that
+    :func:`observes_baseline` joins it as a member instead of walking a
+    private hierarchy; the caller then steps ``replay`` once per chunk
+    for all its members and never the member's own ``update_block``.
     """
-    if job.kind == KIND_COVERAGE:
+    if job.kind in (KIND_COVERAGE, KIND_TIMING):
         prefetcher = build_prefetcher(job.prefetcher, job.workload)
-        return _DriverConsumer(job, SimulationDriver(job.system, prefetcher))
-    if job.kind == KIND_TIMING:
-        prefetcher = build_prefetcher(job.prefetcher, job.workload)
-        model = timing_model_for_job(job)
-        driver = SimulationDriver(
-            job.system, prefetcher, service_consumer=model
-        )
-        return _TimingConsumer(job, driver, model)
-    return analysis_for_job(job)
+        model = timing_model_for_job(job) if job.kind == KIND_TIMING else None
+        driver = SimulationDriver(job.system, prefetcher, model)
+        return _DriverConsumer(job, driver, replay)
+    analysis = analysis_for_job(job)
+    if replay is not None:
+        analysis.attach(replay)
+    return analysis
+
+
+class GroupRun(list):
+    """``(job, result)`` pairs plus each job's own ``seconds``."""
+
+    def __init__(self, pairs: list, seconds: "list[float]") -> None:
+        super().__init__(pairs)
+        self.seconds = seconds
 
 
 def run_group(
     jobs: "list[SimJob]",
     accesses: Iterable[MemoryAccess],
     attempt: int = 1,
-) -> "list[tuple[SimJob, Any]]":
+) -> GroupRun:
     """Execute every job in ``jobs`` from one shared pass over ``accesses``.
 
     Args:
@@ -230,49 +241,74 @@ def run_group(
         accesses: a single-iteration access stream for that key — a
             ``TraceSource``, a store replay, or a record-during-walk
             generator. It is pumped chunk at a time: each chunk's
-            pre-pass (block ids) is computed once and every consumer's
-            ``update_block`` replays it through its per-access closures,
-            so one chunk decode serves the whole group.
+            pre-pass (block ids) is computed once and every walker
+            replays it through its per-access closures, so one chunk
+            decode serves the whole group.
         attempt: 1-based attempt number, folded into each job's
             fault-injection draw.
 
+    Jobs that :func:`observes_baseline` share one
+    :class:`~repro.sim.driver.BaselineReplay` per ``SystemConfig``;
+    every other job walks its own consumer. A job is credited its own
+    walker's time (one ``perf_counter`` pair per chunk; a shared
+    replay's time, table flush included, split evenly across its
+    members) plus its own ``finalize``.
+
     Returns:
-        ``(job, result)`` pairs in ``jobs`` order; every consumer owns
+        A :class:`GroupRun`: ``(job, result)`` pairs in ``jobs`` order,
+        with each job's seconds; every member and consumer owns
         independent state, so each result is the job's result alone.
     """
     # per-job injection point: a grouped job draws the faults a solo run
     # of the same attempt would, so group→isolation degradation is real
     for job in jobs:
         maybe_fail_job(job.job_hash, attempt)
-    consumers = [job_consumer(job) for job in jobs]
-    updates = [consumer.update_block for consumer in consumers]
-    # ``walk_step`` phase accounting times the consumer updates per chunk
-    # (chunk decode is accounted separately inside decode_chunk; the
-    # pre-pass column, computed lazily inside a chunk's first update,
-    # nests under walk_step as well as prepass)
+    # a walker is (chunk update, positions of the jobs it serves, its
+    # replay or None); one shared replay walker per SystemConfig
+    walkers: "list[tuple[Any, list[int], Optional[BaselineReplay]]]" = []
+    shared: "dict[Any, tuple[Any, list[int], BaselineReplay]]" = {}
+    consumers = []
+    for position, job in enumerate(jobs):
+        if not observes_baseline(job):
+            consumers.append(job_consumer(job))
+            walkers.append((consumers[-1].update_block, [position], None))
+            continue
+        if job.system not in shared:
+            replay = BaselineReplay(job.system)
+            walkers.append((replay.step_chunk, [], replay))
+            shared[job.system] = walkers[-1]
+        shared[job.system][1].append(position)
+        consumers.append(job_consumer(job, shared[job.system][2]))
+    spent = [0.0] * len(walkers)
+    clock = time.perf_counter
+    # ``walk_step`` times all walkers per chunk (decode is timed inside
+    # decode_chunk; a chunk's lazy pre-pass nests under walk_step too)
     timer = phases_active()
-    if timer is None:
-        for chunk in iter_trace_chunks(accesses):
-            for update_block in updates:
-                update_block(chunk)
-        return [
-            (job, consumer.finalize())
-            for job, consumer in zip(jobs, consumers)
-        ]
     for chunk in iter_trace_chunks(accesses):
-        start = time.perf_counter()
-        for update_block in updates:
+        chunk_start = clock()
+        for index, (update_block, _, _) in enumerate(walkers):
+            start = clock()
             update_block(chunk)
-        timer.add(PHASE_WALK, time.perf_counter() - start)
-    start = time.perf_counter()
-    results = [
-        (job, consumer.finalize())
-        for job, consumer in zip(jobs, consumers)
-    ]
-    timer.add(
-        PHASE_FINALIZE, time.perf_counter() - start, calls=len(results)
-    )
-    return results
+            spent[index] += clock() - start
+        if timer is not None:
+            timer.add(PHASE_WALK, clock() - chunk_start)
+    finalize_start = clock()
+    seconds = [0.0] * len(jobs)
+    for index, (_, positions, replay) in enumerate(walkers):
+        if replay is not None:
+            start = clock()
+            replay.finish()  # one table flush for every member
+            spent[index] += clock() - start
+        for position in positions:
+            seconds[position] = spent[index] / len(positions)
+    pairs = []
+    for position, (job, consumer) in enumerate(zip(jobs, consumers)):
+        start = clock()
+        pairs.append((job, consumer.finalize()))
+        seconds[position] += clock() - start
+    if timer is not None:
+        timer.add(PHASE_FINALIZE, clock() - finalize_start, calls=len(pairs))
+    return GroupRun(pairs, seconds)
 
 
 def execute_job(
@@ -321,11 +357,16 @@ def execute_job_recovering(
     failure with a verified-clean (or absent) entry is the job's own
     and propagates to the caller's retry ladder.
     """
+    return _run_recovering(job, trace_store, attempt)[0][1]
+
+
+def _run_recovering(job: SimJob, trace_store: Optional["TraceStore"],
+                    attempt: int) -> GroupRun:
     if trace_store is None:
-        return execute_job(job, None, attempt)
+        return run_group([job], job_trace(job, None), attempt)
     read = trace_store.entry_identity(job.trace_key)
     try:
-        return execute_job(job, trace_store, attempt)
+        return run_group([job], job_trace(job, trace_store), attempt)
     except Exception as error:
         damaged = trace_store.quarantine_if_damaged(
             job.trace_key, f"replay failed: {error}"
@@ -339,7 +380,7 @@ def execute_job_recovering(
         if not damaged and not replaced:
             raise
         trace_store.stats.replay_fallbacks += 1
-        return execute_job(job, trace_store, attempt)
+        return run_group([job], job_trace(job, trace_store), attempt)
 
 
 def execute_job_for_pool(
@@ -358,9 +399,10 @@ def execute_job_for_pool(
     supervisor.
 
     The dict also carries the job's ``"worker"`` (``worker-<pid>``) and
-    in-worker ``"wall_s"`` for the run journal and, with telemetry on,
-    the worker's phase-timer delta under ``"metrics"``; the parent pops
-    all three before folding the trace counters.
+    ``"wall_s"`` (its walk and finalize seconds, as :func:`run_group`
+    credits them) for the run journal and, with telemetry on, the
+    worker's phase-timer delta under ``"metrics"``; the parent pops all
+    three before folding the trace counters.
     """
     store = None
     if trace_store_dir is not None:
@@ -368,9 +410,8 @@ def execute_job_for_pool(
 
         store = TraceStore(trace_store_dir)
     phase_before = _phase_snapshot()
-    start = time.perf_counter()
-    result = execute_job_recovering(job, store, attempt)
-    wall_s = time.perf_counter() - start
+    run = _run_recovering(job, store, attempt)
+    result, wall_s = run[0][1], run.seconds[0]
     if store is not None:
         stats = store.stats.as_dict()
     else:
@@ -408,14 +449,15 @@ def execute_jobs_broadcast(
 
     Reports ``(index, status, payload, store_stats, broadcast_stats)``
     on ``out_queue`` — ``status`` is ``"ok"`` (payload = a list of
-    ``(job_hash, result)`` pairs) or ``"error"`` (payload = the error
-    description; the parent charges each bundled job's retry budget and
-    requeues them through the pool path). Injected ``worker_crash``
+    ``(job_hash, result, seconds)`` triples, ``seconds`` being the job's
+    own time as :func:`run_group` credits it) or ``"error"`` (payload =
+    the error description; the parent charges each bundled job's retry
+    budget and requeues them through the pool path). Injected ``worker_crash``
     draws kill the process outright, exactly as they would a pool
     worker. The broadcast-accounting dict also carries the bundle's
-    ``"worker"`` (``bundle-<index>``) and ``"wall_s"`` for the run
-    journal and, with telemetry on, its phase-timer delta under
-    ``"metrics"``; the parent pops them before folding the counters.
+    ``"worker"`` (``bundle-<index>``) for the run journal and, with
+    telemetry on, its phase-timer delta under ``"metrics"``; the parent
+    pops them before folding the counters.
     """
     from repro.tracestore.broadcast import ChunkCursor, replay_fallback
 
@@ -423,12 +465,10 @@ def execute_jobs_broadcast(
     fallback = replay_fallback(str(trace_store_dir), bundle[0].trace_key)
     cursor = ChunkCursor(ring_consumer, fallback)
     phase_before = _phase_snapshot()
-    start = time.perf_counter()
 
     def accounting() -> dict:
         shared = cursor.accounting()
         shared["worker"] = f"bundle-{index}"
-        shared["wall_s"] = time.perf_counter() - start
         if phase_before is not None:
             shared["metrics"] = process_registry().delta_since(phase_before)
         return shared
@@ -443,7 +483,9 @@ def execute_jobs_broadcast(
         ring_consumer.close()
         return
     out_queue.put((
-        index, "ok", [(job.job_hash, result) for job, result in results],
+        index, "ok",
+        [(job.job_hash, result, seconds)
+         for (job, result), seconds in zip(results, results.seconds)],
         fallback.stats, accounting(),
     ))
     ring_consumer.close()

@@ -252,8 +252,8 @@ class RunJournal:
         from the cache). Only ever written *after* the store succeeds —
         the completion is the commit record.
 
-        An executed job also records where it ran (``main``,
-        ``worker-<pid>`` or ``bundle-<n>``) and its wall seconds there.
+        An executed job also records where it ran (``main``, ``worker-<pid>``
+        or ``bundle-<n>``) and its own walk and finalize seconds.
         """
         self.jobs_completed += 1
         event: Dict[str, Any] = {

@@ -12,7 +12,6 @@ import enum
 from typing import Optional, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.stats import StatGroup
 from repro.memsys.cache import Cache
 
 
@@ -48,11 +47,6 @@ class Hierarchy:
         self.config = config
         self.l1 = Cache(config.l1)
         self.l2 = Cache(config.l2)
-        self.stats = StatGroup("hierarchy")
-        # hot-loop binding: ``access`` runs once per simulated access and
-        # bumps two counters — increment the counter mapping directly
-        # instead of paying a method call per bump
-        self._counters = self.stats._counters
 
     def access(self, block: int) -> AccessResult:
         """Demand access to ``block``; fills on miss; classifies the level.
@@ -61,16 +55,11 @@ class Hierarchy:
         serviced, the block the fill evicted from the L1 (or None), and
         whether this was the first demand touch of a prefetched block.
         """
-        counters = self._counters
-        counters["accesses"] += 1
         hit, prefetch_hit = self.l1.demand_lookup(block)
         if hit:
-            counters["l1_hits"] += 1
             return _L1_PREFETCH_HIT if prefetch_hit else _L1_HIT
         if self.l2.probe_fill(block):
-            counters["l2_hits"] += 1
             return ServiceLevel.L2, self.l1.fill(block), False
-        counters["offchip_misses"] += 1
         return ServiceLevel.MEMORY, self.l1.fill(block), False
 
     def fill_from_svb(self, block: int) -> Optional[int]:

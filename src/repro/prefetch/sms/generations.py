@@ -11,11 +11,11 @@ element of this region, Fig. 3).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.common.addresses import AddressMap
-from repro.common.lru import LRUTable
 
 #: spatial prediction index: (trigger PC, trigger offset-in-region), §2.4
 SpatialIndex = Tuple[int, int]
@@ -40,15 +40,13 @@ class GenerationRecord:
     region: int
     trigger_pc: int
     trigger_offset: int
+    #: ``(trigger_pc, trigger_offset)``, the spatial prediction index
+    index: SpatialIndex
     #: first-touch sequence, in order, excluding the trigger
     elements: List[SequenceElement] = field(default_factory=list)
     touched: Set[int] = field(default_factory=set)
     #: global miss count at the most recent element (or trigger)
     last_miss_count: int = 0
-
-    @property
-    def index(self) -> SpatialIndex:
-        return (self.trigger_pc, self.trigger_offset)
 
     def accessed_offsets(self) -> Set[int]:
         """All offsets touched this generation, including the trigger."""
@@ -56,7 +54,9 @@ class GenerationRecord:
 
 
 class ActiveGenerationTable:
-    """Fixed-capacity table of active generations with LRU displacement."""
+    """Fixed-capacity table of active generations with LRU displacement
+    (an ``OrderedDict``, oldest region first, stepped inline: every SMS,
+    STeMS, hybrid and analysis walk observes each access)."""
 
     def __init__(
         self,
@@ -64,6 +64,9 @@ class ActiveGenerationTable:
         address_map: AddressMap,
         on_generation_end: Optional[Callable[[GenerationRecord], None]] = None,
     ) -> None:
+        if entries <= 0:
+            raise ValueError(f"capacity must be positive, got {entries}")
+        self.capacity = entries
         self.address_map = address_map
         # per-access geometry, hoisted: ``observe`` runs once per L1
         # access for SMS/STeMS, so the region/offset split must be two
@@ -71,13 +74,11 @@ class ActiveGenerationTable:
         self._region_shift = address_map.region_block_bits
         self._offset_mask = address_map.blocks_per_region - 1
         self._on_end = on_generation_end
-        self._table: LRUTable[int, GenerationRecord] = LRUTable(
-            entries, on_evict=self._evict
-        )
+        self._table: "OrderedDict[int, GenerationRecord]" = OrderedDict()
         self.generations_started = 0
         self.generations_ended = 0
 
-    def _evict(self, region: int, record: GenerationRecord) -> None:
+    def _end(self, record: GenerationRecord) -> None:
         self.generations_ended += 1
         if self._on_end is not None:
             self._on_end(record)
@@ -86,7 +87,7 @@ class ActiveGenerationTable:
         return region in self._table
 
     def get(self, region: int) -> Optional[GenerationRecord]:
-        return self._table.peek(region)
+        return self._table.get(region)
 
     def observe(
         self, pc: int, block: int, offchip: bool, global_miss_count: int = 0
@@ -102,35 +103,44 @@ class ActiveGenerationTable:
         """
         region = block >> self._region_shift
         offset = block & self._offset_mask
-        record = self._table.get(region)
-        bump = 1 if offchip else 0
+        table = self._table
+        record = table.get(region)
         if record is None:
+            if len(table) >= self.capacity:
+                self._end(table.popitem(last=False)[1])
             record = GenerationRecord(
-                region, pc, offset, [], {offset}, global_miss_count + bump
+                region, pc, offset, (pc, offset), [], {offset},
+                global_miss_count + 1 if offchip else global_miss_count,
             )
-            self._table.put(region, record)
+            table[region] = record
             self.generations_started += 1
             return True, record
-        if offset not in record.touched:
-            record.touched.add(offset)
-            delta = max(0, global_miss_count - record.last_miss_count)
-            record.elements.append(SequenceElement(offset, delta, offchip))
-            record.last_miss_count = global_miss_count + bump
+        table.move_to_end(region)
+        touched = record.touched
+        if offset not in touched:
+            touched.add(offset)
+            delta = global_miss_count - record.last_miss_count
+            record.elements.append(
+                SequenceElement(offset, delta if delta > 0 else 0, offchip)
+            )
+            record.last_miss_count = (
+                global_miss_count + 1 if offchip else global_miss_count
+            )
         return False, record
 
     def on_l1_eviction(self, block: int) -> None:
         """End the generation owning ``block`` if it touched that block."""
         region = block >> self._region_shift
-        record = self._table.peek(region)
+        record = self._table.get(region)
         if record is None:
             return
         if (block & self._offset_mask) in record.touched:
-            self._table.pop(region)
-            self._evict(region, record)
+            del self._table[region]
+            self._end(record)
 
     def flush(self) -> None:
-        """End every active generation (end-of-run training)."""
-        for region in list(self._table):
-            record = self._table.pop(region)
-            if record is not None:
-                self._evict(region, record)
+        """End every active generation, oldest first (end-of-run
+        training)."""
+        table = self._table
+        while table:
+            self._end(table.popitem(last=False)[1])

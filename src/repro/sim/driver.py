@@ -18,18 +18,28 @@ The driver is the single walk of the trace: it accepts an in-memory
 service classification to a ``service_consumer`` (the incremental
 :class:`~repro.sim.timing.TimingModel`) — which is how a coverage +
 timing job runs end to end in O(1) memory.
+
+Without a prefetcher only demand fills change what the caches hold, so
+the baseline coverage walk, a no-prefetcher timing walk and the Fig. 6-8
+analyses of one trace all see the same per-access (service level, L1
+victim, spatial generation) stream. :class:`BaselineReplay` is that
+walk's one implementation: it computes the stream once and hands it to
+each of its members in lockstep. Members only observe; a walk whose
+prefetcher installs into the L1 or streams into an SVB changes its
+hierarchy, so it keeps a private one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Protocol
+from typing import Callable, List, Optional, Protocol
 
 from repro.common.config import SystemConfig
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
 from repro.memsys.hierarchy import Hierarchy, ServiceLevel
 from repro.memsys.svb import StreamedValueBuffer
 from repro.prefetch.base import TARGET_L1, TARGET_SVB, AccessEvent, Prefetcher
+from repro.prefetch.sms.generations import ActiveGenerationTable
 from repro.sim.results import (
     SERVICE_L1,
     SERVICE_L2,
@@ -40,6 +50,104 @@ from repro.sim.results import (
 )
 from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
+
+
+#: capacity of the replay's active generation table
+AGT_ENTRIES = 64
+
+_MEMORY = ServiceLevel.MEMORY
+
+
+class BaselineReplay:
+    """One no-prefetcher pass over a trace, fed to every member.
+
+    Per access: one ``Hierarchy`` services the block; if any member
+    reads generations, one ``ActiveGenerationTable`` sees the access and
+    then the L1 victim, and every generation that ends reaches each
+    ``on_generation_end`` hook; then each ``observe(access, block,
+    level, generation)`` hook runs (``generation`` is the table's
+    ``(is_trigger, record)``, or None). Members :meth:`join` before the
+    first access; :meth:`finish` flushes the table once, to all.
+    """
+
+    def __init__(self, system: SystemConfig) -> None:
+        self.system = system
+        self.hierarchy = Hierarchy(system)
+        self.agt: Optional[ActiveGenerationTable] = None
+        self._block_bits = system.address_map.block_bits
+        self._observers: List[Callable] = []
+        self._generation_ends: List[Callable] = []
+        self._generations = False
+        self._step: Optional[Callable[[MemoryAccess, int], None]] = None
+
+    def join(self, observe: Optional[Callable] = None,
+             on_generation_end: Optional[Callable] = None,
+             generations: bool = False) -> None:
+        """Add one member's hooks; ``generations``: it reads generations."""
+        if self._step is not None:
+            raise RuntimeError("members join a replay before its first access")
+        if observe is not None:
+            self._observers.append(observe)
+        if on_generation_end is not None:
+            self._generation_ends.append(on_generation_end)
+        self._generations |= generations or on_generation_end is not None
+
+    def step(self, access: MemoryAccess, block: int) -> None:
+        """Replay one access (``block`` is its block id)."""
+        (self._step or self._start())(access, block)
+
+    def step_chunk(self, chunk: AccessChunk) -> None:
+        """Replay one chunk: block ids from the chunk's pre-pass, the
+        per-access step inside one C-driven ``map``."""
+        deque(
+            map(self._step or self._start(), chunk.accesses,
+                chunk.blocks_for(self._block_bits)),
+            maxlen=0,
+        )
+
+    def finish(self) -> None:
+        """Flush the generation table once; refuse further accesses."""
+        if self._step is not _finished:
+            self._step = _finished
+            if self.agt is not None:
+                self.agt.flush()
+
+    def _start(self) -> Callable[[MemoryAccess, int], None]:
+        hier_access = self.hierarchy.access
+        observers = tuple(self._observers)
+        if not self._generations:
+            def step(access: MemoryAccess, block: int) -> None:
+                level = hier_access(block)[0]
+                for observe in observers:
+                    observe(access, block, level, None)
+        else:
+            ends = tuple(self._generation_ends)
+
+            def every_end(record) -> None:
+                for end in ends:
+                    end(record)
+
+            on_end = ends[0] if len(ends) == 1 else every_end if ends else None
+            self.agt = ActiveGenerationTable(
+                AGT_ENTRIES, self.system.address_map, on_generation_end=on_end
+            )
+            agt_observe = self.agt.observe
+            agt_on_eviction = self.agt.on_l1_eviction
+
+            def step(access: MemoryAccess, block: int) -> None:
+                level, evicted, _ = hier_access(block)
+                generation = agt_observe(access.pc, block, level is _MEMORY)
+                if evicted is not None:
+                    agt_on_eviction(evicted)
+                for observe in observers:
+                    observe(access, block, level, generation)
+
+        self._step = step
+        return step
+
+
+def _finished(access: MemoryAccess, block: int) -> None:
+    raise RuntimeError("BaselineReplay stepped after finish()")
 
 
 class ServiceConsumer(Protocol):
@@ -93,7 +201,9 @@ class SimulationDriver:
         self.prefetcher = prefetcher
         self.service_consumer = service_consumer
 
-    def start(self, workload_name: str) -> DriverWalk:
+    def start(
+        self, workload_name: str, replay: Optional[BaselineReplay] = None
+    ) -> DriverWalk:
         """Begin a push-mode walk: the caller supplies each access.
 
         The step body is deliberately flat: every per-access attribute
@@ -102,26 +212,35 @@ class SimulationDriver:
         once at :meth:`DriverWalk.finish`. ``run()`` drives the same
         closures, so pushed and pulled walks are bit-identical.
 
+        Without a prefetcher the walk is a member of ``replay`` (which
+        the caller then steps instead of the walk) or of a private
+        :class:`~repro.sim.driver.BaselineReplay` of one.
+
         Args:
             workload_name: stamped on the :class:`CoverageResult`
                 (``run()`` passes ``trace.name``).
+            replay: the shared no-prefetcher replay to join.
 
         Returns:
             A :class:`DriverWalk` whose ``step(access, block)`` consumes
             one access and whose ``finish()`` returns the result.
+
+        Raises:
+            ValueError: a prefetcher's walk given a replay to share.
         """
         system = self.system
         prefetcher = self.prefetcher
+        if prefetcher is None:
+            replay = replay or BaselineReplay(system)
+            return self._baseline(workload_name, replay)
+        if replay is not None:
+            raise ValueError(f"a {prefetcher.name} walk cannot join a replay")
         hierarchy = Hierarchy(system)
-        result = CoverageResult(
-            workload=workload_name,
-            prefetcher=prefetcher.name if prefetcher else "none",
-        )
+        result = CoverageResult(workload_name, prefetcher.name)
 
         def _discard(block: int, stream: int) -> None:
             result.overpredictions += 1
-            if prefetcher is not None:
-                prefetcher.on_svb_discard(block, stream)
+            prefetcher.on_svb_discard(block, stream)
 
         svb = StreamedValueBuffer(system.svb_entries, on_discard_unused=_discard)
 
@@ -137,25 +256,47 @@ class SimulationDriver:
         covered_count = uncovered_count = 0
         l1_hits = l2_hits = issued_prefetches = 0
 
-        if prefetcher is None:
-            # baseline specialization: with no prefetcher the SVB stays
-            # empty and no block is ever marked prefetched, so the SVB
-            # probe, coverage branches and prefetch drain are dead code —
-            # same counters, same service classes, same outcomes
-            def step(access: MemoryAccess, block: int) -> None:
-                nonlocal accesses, reads, writes, uncovered_count
-                nonlocal l1_hits, l2_hits
+        svb_contains = svb.__contains__
+        svb_consume = svb.consume
+        svb_insert = svb.insert
+        hier_fill_from_svb = hierarchy.fill_from_svb
+        hier_present = hierarchy.present
+        hier_install = hierarchy.install_prefetch
+        on_access = prefetcher.on_access
+        pop_requests = prefetcher.pop_requests
+        on_l1_eviction = prefetcher.on_l1_eviction
+        # the walk's one event, overwritten for every access (an
+        # event is valid only during the on_access call)
+        event = AccessEvent(None, -1, level_l1)
 
-                accesses += 1
-                if access.is_write:
-                    writes += 1
-                    is_read = False
-                else:
-                    reads += 1
-                    is_read = True
+        def step(access: MemoryAccess, block: int) -> None:
+            nonlocal accesses, reads, writes, covered_count
+            nonlocal uncovered_count, l1_hits, l2_hits, issued_prefetches
 
-                level = hier_access(block)[0]
-                if level is level_l1:
+            is_read = not access.is_write
+            accesses += 1
+            if is_read:
+                reads += 1
+            else:
+                writes += 1
+
+            if svb_contains(block):
+                consumed = svb_consume(block)
+                stream_id = consumed if consumed is not None else -1
+                evicted = hier_fill_from_svb(block)
+                level = level_svb
+                covered = True
+                if is_read:
+                    covered_count += 1
+                klass = SERVICE_SVB
+            else:
+                level, evicted, covered = hier_access(block)
+                stream_id = -1
+                if covered:
+                    if is_read:
+                        covered_count += 1
+                    klass = SERVICE_PREFETCHED_L1
+                elif level is level_l1:
                     l1_hits += 1
                     klass = SERVICE_L1
                 elif level is level_l2:
@@ -165,83 +306,29 @@ class SimulationDriver:
                     if is_read:
                         uncovered_count += 1
                     klass = SERVICE_MEMORY
-                if consumer_update is not None:
-                    consumer_update(access, klass)
+            if consumer_update is not None:
+                consumer_update(access, klass)
 
-        else:
-            svb_contains = svb.__contains__
-            svb_consume = svb.consume
-            svb_insert = svb.insert
-            hier_fill_from_svb = hierarchy.fill_from_svb
-            hier_present = hierarchy.present
-            hier_install = hierarchy.install_prefetch
-            on_access = prefetcher.on_access
-            pop_requests = prefetcher.pop_requests
-            on_l1_eviction = prefetcher.on_l1_eviction
-            # the walk's one event, overwritten for every access (an
-            # event is valid only during the on_access call)
-            event = AccessEvent(None, -1, level_l1)
-
-            def step(access: MemoryAccess, block: int) -> None:
-                nonlocal accesses, reads, writes, covered_count
-                nonlocal uncovered_count, l1_hits, l2_hits, issued_prefetches
-
-                is_read = not access.is_write
-                accesses += 1
-                if is_read:
-                    reads += 1
+            if evicted is not None:
+                on_l1_eviction(evicted)
+            event.access = access
+            event.block = block
+            event.level = level
+            event.covered = covered
+            event.stream_id = stream_id
+            on_access(event)
+            for pf_block, pf_stream, target in pop_requests():
+                if svb_contains(pf_block) or hier_present(pf_block) is not None:
+                    continue  # already on chip: no off-chip fetch needed
+                issued_prefetches += 1
+                if target == TARGET_SVB:
+                    svb_insert(pf_block, pf_stream)
+                elif target == TARGET_L1:
+                    evicted = hier_install(pf_block)
+                    if evicted is not None:
+                        on_l1_eviction(evicted)
                 else:
-                    writes += 1
-
-                if svb_contains(block):
-                    consumed = svb_consume(block)
-                    stream_id = consumed if consumed is not None else -1
-                    evicted = hier_fill_from_svb(block)
-                    level = level_svb
-                    covered = True
-                    if is_read:
-                        covered_count += 1
-                    klass = SERVICE_SVB
-                else:
-                    level, evicted, covered = hier_access(block)
-                    stream_id = -1
-                    if covered:
-                        if is_read:
-                            covered_count += 1
-                        klass = SERVICE_PREFETCHED_L1
-                    elif level is level_l1:
-                        l1_hits += 1
-                        klass = SERVICE_L1
-                    elif level is level_l2:
-                        l2_hits += 1
-                        klass = SERVICE_L2
-                    else:
-                        if is_read:
-                            uncovered_count += 1
-                        klass = SERVICE_MEMORY
-                if consumer_update is not None:
-                    consumer_update(access, klass)
-
-                if evicted is not None:
-                    on_l1_eviction(evicted)
-                event.access = access
-                event.block = block
-                event.level = level
-                event.covered = covered
-                event.stream_id = stream_id
-                on_access(event)
-                for pf_block, pf_stream, target in pop_requests():
-                    if svb_contains(pf_block) or hier_present(pf_block) is not None:
-                        continue  # already on chip: no off-chip fetch needed
-                    issued_prefetches += 1
-                    if target == TARGET_SVB:
-                        svb_insert(pf_block, pf_stream)
-                    elif target == TARGET_L1:
-                        evicted = hier_install(pf_block)
-                        if evicted is not None:
-                            on_l1_eviction(evicted)
-                    else:
-                        raise ValueError(f"unknown prefetch target {target!r}")
+                    raise ValueError(f"unknown prefetch target {target!r}")
 
         def finish() -> CoverageResult:
             result.accesses = accesses
@@ -258,11 +345,10 @@ class SimulationDriver:
             # end of walk: whatever was fetched but never used is erroneous
             svb.drain_unused()
             result.overpredictions += hierarchy.l1.unused_prefetch_count()
-            if prefetcher is not None:
-                if hasattr(prefetcher, "finish"):
-                    prefetcher.finish()
-                if hasattr(prefetcher, "stats"):
-                    result.prefetcher_stats = prefetcher.stats.to_dict()
+            if hasattr(prefetcher, "finish"):
+                prefetcher.finish()
+            if hasattr(prefetcher, "stats"):
+                result.prefetcher_stats = prefetcher.stats.to_dict()
             return result
 
         block_bits = system.address_map.block_bits
@@ -276,6 +362,51 @@ class SimulationDriver:
             )
 
         return DriverWalk(step, step_chunk, finish)
+
+    def _baseline(self, workload: str, replay: BaselineReplay) -> DriverWalk:
+        """The no-prefetcher walk, a member of ``replay``: the SVB stays
+        empty and nothing is prefetched, so only service levels count."""
+        result = CoverageResult(workload=workload, prefetcher="none")
+        consumer = self.service_consumer
+        consumer_update = consumer.update if consumer is not None else None
+        level_l1 = ServiceLevel.L1
+        level_l2 = ServiceLevel.L2
+        reads = writes = uncovered_count = l1_hits = l2_hits = 0
+
+        def observe(access: MemoryAccess, block, level, generation) -> None:
+            nonlocal reads, writes, uncovered_count, l1_hits, l2_hits
+            if access.is_write:
+                writes += 1
+                is_read = False
+            else:
+                reads += 1
+                is_read = True
+
+            if level is level_l1:
+                l1_hits += 1
+                klass = SERVICE_L1
+            elif level is level_l2:
+                l2_hits += 1
+                klass = SERVICE_L2
+            else:
+                if is_read:
+                    uncovered_count += 1
+                klass = SERVICE_MEMORY
+            if consumer_update is not None:
+                consumer_update(access, klass)
+
+        def finish() -> CoverageResult:
+            replay.finish()
+            result.accesses = reads + writes
+            result.reads = reads
+            result.writes = writes
+            result.uncovered = uncovered_count
+            result.l1_hits = l1_hits
+            result.l2_hits = l2_hits
+            return result
+
+        replay.join(observe)
+        return DriverWalk(replay.step, replay.step_chunk, finish)
 
     def run(self, trace: TraceLike) -> CoverageResult:
         """Walk ``trace`` (in memory or streaming) through the system.

@@ -227,8 +227,8 @@ def render(report: Dict[str, Any]) -> str:
                 f"{rate if rate is not None else '-':>12}"
             )
         lines.append(
-            "(wall s: each executed job's time on its worker; jobs that "
-            "share a walk each carry the whole walk)"
+            "(wall s: each executed job's own walk and finalize time; a "
+            "shared baseline replay's time is split across its jobs)"
         )
 
     if report["faults"]:

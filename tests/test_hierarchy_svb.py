@@ -62,13 +62,10 @@ class TestHierarchy:
         h.access(5)
         assert h.present(5) is ServiceLevel.L1
 
-    def test_stats_counters(self, tiny_system):
+    def test_access_reports_service_levels(self, tiny_system):
         h = Hierarchy(tiny_system)
-        h.access(1)
-        h.access(1)
-        assert h.stats.get("accesses") == 2
-        assert h.stats.get("offchip_misses") == 1
-        assert h.stats.get("l1_hits") == 1
+        levels = [h.access(1)[0], h.access(1)[0]]
+        assert levels == [ServiceLevel.MEMORY, ServiceLevel.L1]
 
 
 class TestSVB:

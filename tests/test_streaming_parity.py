@@ -11,6 +11,8 @@ parity with a per-access walk is asserted for every experiment in
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     CorrelationDistanceAnalysis,
@@ -22,14 +24,16 @@ from repro.analysis import (
 from repro.analysis.base import StreamingAnalysis
 from repro.common.config import SystemConfig
 from repro.engine import Engine, JobGraph, execute_job
+from repro.engine.exec import job_consumer, observes_baseline, run_group
 from repro.engine.faultinject import ENV_VAR
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import EXPERIMENTS
-from repro.sim.driver import SimulationDriver
+from repro.experiments.runner import EXPERIMENTS, PAPER_SET
+from repro.memsys.hierarchy import Hierarchy
+from repro.sim.driver import BaselineReplay, SimulationDriver
 from repro.sim.timing import TimingModel
 from repro.trace.container import TraceSource
 from repro.tracestore import TraceStore
-from repro.workloads.registry import stream_workload
+from repro.workloads.registry import WORKLOAD_NAMES, stream_workload
 
 LENGTH = 6_000
 SEED = 11
@@ -149,6 +153,102 @@ class TestEveryModeWalksThroughRunGroup:
         assert [results[job] for job in jobs] == clean
         assert engine.stats.isolation_fallbacks == 1
         assert engine.stats.retries == len(jobs)
+
+
+MEMBER_KINDS = ("joint", "repetition", "correlation", "coverage")
+
+
+def _member_job(cfg: ExperimentConfig, kind: str, workload: str):
+    """A job of one of the four baseline-replay member kinds."""
+    return {
+        "joint": cfg.joint_job,
+        "repetition": cfg.repetition_job,
+        "correlation": cfg.correlation_job,
+        "coverage": cfg.coverage_job,
+    }[kind](workload)
+
+
+@pytest.fixture
+def hierarchies_built(monkeypatch):
+    """Counts every :class:`Hierarchy` constructed while the test runs."""
+    built = []
+    init = Hierarchy.__init__
+
+    def counting(self, config):
+        built.append(config)
+        init(self, config)
+
+    monkeypatch.setattr(Hierarchy, "__init__", counting)
+    return built
+
+
+class TestSharedBaselineReplay:
+    """The Fig. 6-8 analyses and the no-prefetcher walk of one trace key
+    share one hierarchy pass, and results do not change."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        workload=st.sampled_from(WORKLOAD_NAMES),
+        length=st.integers(min_value=1, max_value=6_000),
+        seed=st.integers(min_value=0, max_value=2**16),
+        members=st.lists(st.sampled_from(MEMBER_KINDS), unique=True),
+        stems_at=st.integers(min_value=0, max_value=4),
+    )
+    def test_group_returns_each_solo_result(self, workload, length, seed,
+                                            members, stems_at):
+        cfg = ExperimentConfig.small()
+        cfg.trace_length = length
+        cfg.seed = seed
+        jobs = [_member_job(cfg, kind, workload) for kind in members]
+        jobs.insert(stems_at, cfg.coverage_job(workload, "stems"))
+        grouped = run_group(jobs, stream_workload(workload, length, seed))
+        assert [job for job, _ in grouped] == jobs
+        assert [result for _, result in grouped] == [
+            execute_job(job) for job in jobs
+        ]
+
+    def test_all_builds_one_hierarchy_per_trace_key(self, hierarchies_built):
+        cfg = small_config()
+        graph = JobGraph()
+        for name in PAPER_SET:
+            EXPERIMENTS[name].declare(cfg, graph)
+        members = [
+            job for job in graph
+            if job.kind in ("joint", "repetition", "correlation")
+            or (job.kind == "coverage" and job.prefetcher is None)
+        ]
+        assert sorted(job.kind for job in members) == [
+            "correlation", "coverage", "joint", "repetition"
+        ]
+        assert {job.trace_key for job in members} == {("db2", LENGTH, SEED)}
+        assert [job for job in graph if observes_baseline(job)] == members
+        run_group(members, stream_workload("db2", LENGTH, SEED))
+        assert len(hierarchies_built) == 1
+
+    @pytest.mark.parametrize("with_stride", [False, True],
+                             ids=["alone", "with-stride"])
+    @pytest.mark.parametrize(
+        "kind", ["stride", "sms", "tms", "stems", "hybrid", "ghb", "markov"]
+    )
+    def test_prefetching_walk_never_joins_a_replay(
+        self, hierarchies_built, kind, with_stride
+    ):
+        cfg = small_config()
+        cfg.trace_length = 2_000
+        jobs = [
+            cfg.coverage_job("db2", kind, with_stride=with_stride),
+            cfg.timing_job("db2", kind, with_stride=with_stride),
+        ]
+        for job in jobs:
+            assert not observes_baseline(job)
+            with pytest.raises(ValueError, match="cannot join a replay"):
+                job_consumer(job, BaselineReplay(job.system))
+        hierarchies_built.clear()
+        run_group([cfg.joint_job("db2"), *jobs, cfg.coverage_job("db2")],
+                  stream_workload("db2", 2_000, SEED))
+        # one shared by the two members, one private per prefetching walk
+        assert len(hierarchies_built) == 3
 
 
 class TestAnalysisLifecycle:

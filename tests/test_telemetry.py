@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,38 @@ class TestJournalRunRecord:
             assert event["source"] == "executed"
             assert re.fullmatch(worker, event["worker"]), event
             assert event["wall_s"] > 0
+
+    def test_group_jobs_journal_their_own_walls(self, tmp_path, monkeypatch):
+        # one serial walk feeds a cheap and an expensive consumer: each
+        # is credited its own time, not the group's
+        from repro.engine import engine as engine_module
+
+        graph = JobGraph()
+        jobs = [
+            graph.add(SimJob.make("coverage", "db2", LENGTH, SEED,
+                                  SystemConfig.tiny(), spec))
+            for spec in (None, PrefetcherSpec.make("stems"))
+        ]
+        walks = []
+        real = engine_module.run_group
+
+        def timed(group, accesses, attempt=1):
+            start = time.perf_counter()
+            try:
+                return real(group, accesses, attempt)
+            finally:
+                walks.append(time.perf_counter() - start)
+
+        monkeypatch.setattr(engine_module, "run_group", timed)
+        journal = RunJournal.create(tmp_path / "runs", header={"argv": []})
+        Engine(jobs=1, journal=journal).run(graph)
+        journal.finish("clean")
+        walls = {event["job"]: event["wall_s"]
+                 for event in _completions(journal)}
+        none, stems = (walls[job.job_hash] for job in jobs)
+        assert len(walks) == 1
+        assert 0 < none < stems
+        assert none + stems <= walks[0]
 
     def test_cache_served_jobs_carry_no_worker(self, tmp_path):
         Engine(cache_dir=tmp_path / "cache").run(build_graph()[0])
