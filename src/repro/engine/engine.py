@@ -58,6 +58,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.exec import (
+    deal_bundles,
     execute_jobs_broadcast,
     execute_job_for_pool,
     job_trace,
@@ -634,13 +635,14 @@ class Engine:
         A reader process walks ``key`` exactly once (replaying the
         stored entry, or recording it during the walk when the key is
         cold) and tees every chunk into a shared-memory ring. The group
-        is split into at most ``self.jobs`` *bundles*, one consumer
-        process each: within a bundle the in-process fan-out pump
-        shares a single chunk decode and pre-pass across its jobs, so
-        the wave honors the ``--jobs`` concurrency contract while still
+        is dealt by cost into at most ``self.jobs`` *bundles*
+        (:func:`~repro.engine.exec.deal_bundles`: a wave lasts as long
+        as its slowest bundle), one consumer process each: within a
+        bundle :func:`run_group` shares a single chunk decode and
+        pre-pass across its jobs, so the wave honors ``--jobs`` while
         costing one walk for the whole group (the ring's slot pacing
-        bounds memory; the trace plane, not the CPU count, is the
-        scarce resource here).
+        bounds memory). Jobs dispatch in ``group`` order whatever their
+        bundle, so ``kill_at_job`` indices do not move.
 
         The wave inherits the parallel ladder's failure semantics: a
         dead or erring reader aborts the ring and consumers degrade to
@@ -659,10 +661,7 @@ class Engine:
 
         stats = self.stats
         journal = self.journal
-        bundles = [
-            group[start::min(self.jobs, len(group))]
-            for start in range(min(self.jobs, len(group)))
-        ]
+        bundles = deal_bundles(group, self.jobs)
         try:
             ring = ChunkRing(len(bundles))
         except (OSError, ValueError):

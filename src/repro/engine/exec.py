@@ -200,6 +200,56 @@ def observes_baseline(job: SimJob) -> bool:
     return job.kind in _ANALYSIS_KINDS or spec is None or spec.kind == "none"
 
 
+#: relative cost of a job by (kind, prefetcher kind, with_stride): its
+#: mean journaled ``wall_s`` (ms) in a ``--jobs 1`` run of ``all
+#: --extended --small --length 50000 --seed 5`` over apache, db2, qry2
+#: and em3d (2-core host); only the ratios matter
+JOB_COSTS = {
+    (KIND_COVERAGE, "none", False): 120, (KIND_JOINT, "none", False): 120,
+    (KIND_CORRELATION, "none", False): 120,
+    (KIND_REPETITION, "none", False): 400,
+    (KIND_COVERAGE, "stride", False): 280, (KIND_COVERAGE, "ghb", False): 260,
+    (KIND_COVERAGE, "markov", False): 290, (KIND_COVERAGE, "tms", False): 380,
+    (KIND_COVERAGE, "sms", False): 520, (KIND_COVERAGE, "hybrid", False): 940,
+    (KIND_COVERAGE, "stems", False): 950, (KIND_TIMING, "stride", False): 370,
+    (KIND_TIMING, "tms", True): 670, (KIND_TIMING, "sms", True): 820,
+    (KIND_TIMING, "stems", True): 1240,
+}
+DEFAULT_JOB_COST = 500
+
+
+def job_cost(job: SimJob) -> int:
+    """``job``'s weight in :func:`deal_bundles`: its :data:`JOB_COSTS`
+    entry, else :data:`DEFAULT_JOB_COST`."""
+    spec = job.prefetcher or PrefetcherSpec()
+    return JOB_COSTS.get((job.kind, spec.kind, spec.with_stride), DEFAULT_JOB_COST)
+
+
+def deal_bundles(group: "list[SimJob]", bundles: int) -> "list[list[SimJob]]":
+    """Deal one trace key's jobs into at most ``bundles`` non-empty bundles,
+    independently of ``group``'s order: units go largest :func:`job_cost`
+    first (ties by job hash) to the least-loaded of ``min(bundles,
+    len(group))``. The :func:`observes_baseline` jobs are one unit (one
+    :class:`~repro.sim.driver.BaselineReplay` for the key) unless they
+    alone cost more than the key's total over the bundle count."""
+    count = min(bundles, len(group))
+    group = sorted(group, key=lambda job: job.job_hash)
+    units = [[job] for job in group if not observes_baseline(job)]
+    replay = [job for job in group if observes_baseline(job)]
+    if sum(map(job_cost, replay)) * count > sum(map(job_cost, group)):
+        units += [[job] for job in replay]
+    elif replay:
+        units.append(replay)
+    units.sort(key=lambda unit: (-sum(map(job_cost, unit)), unit[0].job_hash))
+    loads = [0] * min(count, len(units))
+    dealt: "list[list[SimJob]]" = [[] for _ in loads]
+    for unit in units:
+        target = loads.index(min(loads))
+        dealt[target] += unit
+        loads[target] += sum(map(job_cost, unit))
+    return dealt
+
+
 def job_consumer(job: SimJob, replay: Optional[BaselineReplay] = None) -> Any:
     """An ``update_block(chunk)`` / ``finalize()`` consumer executing ``job``.
 

@@ -10,11 +10,11 @@ whose counters reach the threshold are predicted, in stored order.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.common.config import STeMSConfig
-from repro.common.lru import LRUTable
 from repro.prefetch.sms.generations import SequenceElement, SpatialIndex
 
 
@@ -26,14 +26,17 @@ class _BlockState:
 
 
 class PatternSequenceTable:
-    """LRU-bounded table: spatial index -> per-block sequence state."""
+    """LRU-bounded table: spatial index -> per-block sequence state (its
+    own ``OrderedDict``, LRU steps inline: :meth:`predict` is hot)."""
 
     def __init__(self, config: STeMSConfig, blocks_per_region: int) -> None:
+        if config.pst_entries <= 0:
+            raise ValueError(f"capacity must be positive, got {config.pst_entries}")
         self.config = config
         self.blocks_per_region = blocks_per_region
-        self._table: LRUTable[SpatialIndex, Dict[int, _BlockState]] = LRUTable(
-            config.pst_entries
-        )
+        self._table: OrderedDict[SpatialIndex, Dict[int, _BlockState]] = OrderedDict()
+        #: each index's :meth:`predict` list, until retrained or evicted
+        self._predicted: Dict[SpatialIndex, List[Tuple[int, int]]] = {}
         self.trainings = 0
 
     def __contains__(self, index: SpatialIndex) -> bool:
@@ -51,10 +54,12 @@ class PatternSequenceTable:
         stable part of each pattern (§4.3).
         """
         self.trainings += 1
+        self._predicted.pop(index, None)
         observed = [
             e for e in elements if 0 <= e.offset < self.blocks_per_region
         ]
-        entry = self._table.get(index)
+        table = self._table
+        entry = table.get(index)
         if entry is None:
             entry = {}
             init = self.config.predict_threshold  # optimistic: predict once-seen
@@ -64,8 +69,11 @@ class PatternSequenceTable:
                 entry[element.offset] = _BlockState(
                     counter=init, delta=element.delta, position=position
                 )
-            self._table.put(index, entry)
+            if len(table) >= self.config.pst_entries:
+                self._predicted.pop(table.popitem(last=False)[0], None)
+            table[index] = entry
             return
+        table.move_to_end(index)
         seen: Set[int] = set()
         for position, element in enumerate(observed):
             if element.offset in seen:
@@ -92,18 +100,23 @@ class PatternSequenceTable:
 
     def predict(self, index: SpatialIndex) -> List[Tuple[int, int]]:
         """Predicted sequence for ``index`` as ``(offset, delta)`` pairs,
-        in stored order."""
-        entry = self._table.get(index)
-        if entry is None:
-            return []
-        threshold = self.config.predict_threshold
-        chosen = [
-            (state.position, offset, state.delta)
-            for offset, state in entry.items()
-            if state.counter >= threshold
-        ]
-        chosen.sort()
-        return [(o, d) for _, o, d in chosen]
+        in stored order; a hit refreshes the entry's recency. The list is
+        built once and shared by every call until ``index`` is retrained
+        or evicted, so callers must not modify it.
+        """
+        predicted = self._predicted.get(index)  # set only while resident
+        if predicted is None:
+            entry = self._table.get(index)
+            if entry is None:
+                return []
+            threshold = self.config.predict_threshold
+            chosen = sorted(
+                (state.position, offset, state.delta)
+                for offset, state in entry.items() if state.counter >= threshold
+            )
+            predicted = self._predicted[index] = [(o, d) for _, o, d in chosen]
+        self._table.move_to_end(index)
+        return predicted
 
     def predict_offsets(self, index: SpatialIndex) -> Set[int]:
         """Predicted offsets only (used for the RMOB filtering decision).
@@ -112,9 +125,11 @@ class PatternSequenceTable:
         ordering and pair construction — the set of offsets meeting the
         threshold is the same either way.
         """
-        entry = self._table.get(index)
+        table = self._table
+        entry = table.get(index)
         if entry is None:
             return set()
+        table.move_to_end(index)
         threshold = self.config.predict_threshold
         return {
             offset for offset, state in entry.items()

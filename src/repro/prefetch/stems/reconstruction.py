@@ -41,7 +41,8 @@ class ReconstructionResult:
 
 
 class Reconstructor:
-    """Stateless reconstruction engine over a PST and an address map."""
+    """Stateless reconstruction engine over a PST and an address map;
+    :meth:`reconstruct` (every stream setup and refill) runs inline."""
 
     def __init__(
         self,
@@ -54,6 +55,8 @@ class Reconstructor:
         self.address_map = address_map
         self.buffer_size = buffer_size
         self.placement_window = placement_window
+        #: collision probe order within the window: +1, -1, +2, -2, ...
+        self._probes = [s for d in range(1, placement_window + 1) for s in (d, -d)]
 
     def reconstruct(
         self,
@@ -69,75 +72,77 @@ class Reconstructor:
         output (used when that block is the demand miss that started the
         stream — the processor already has it).
         """
-        result = ReconstructionResult()
-        slots: List[Optional[int]] = [None] * self.buffer_size
-        amap = self.address_map
+        size = self.buffer_size
+        probes = self._probes
+        shift = self.address_map.region_block_bits
+        mask = self.address_map.blocks_per_region - 1
+        predict = self.pst.predict
+        slots: List[Optional[int]] = [None] * size
+        original = adjacent = dropped = 0
+        regions: Dict[int, SpatialIndex] = {}
 
         # phase 1: temporal skeleton — place the RMOB entries themselves
-        entry_slots: List[Optional[int]] = []
-        cursor = -1
+        # (a block takes its slot, else the first free probe, else drops)
+        anchors: List[Optional[int]] = []
+        position = 0
         for i, (block, _, delta) in enumerate(entries):
-            cursor = cursor + delta + 1 if i else 0
-            placed = self._place(slots, cursor, block, result)
-            entry_slots.append(placed)
+            if i:
+                position += delta + 1
+            anchor = None
+            if 0 <= position < size:
+                if slots[position] is None or slots[position] == block:
+                    anchor = position
+                    original += 1
+                else:
+                    for step in probes:
+                        if 0 <= position + step < size \
+                                and slots[position + step] is None:
+                            anchor = position + step
+                            adjacent += 1
+                            break
+            if anchor is None:
+                dropped += 1
+            else:
+                slots[anchor] = block
+            anchors.append(anchor)
 
         # phase 2: spatial expansion — interleave each entry's sequence
-        for (entry_block, pc, _), anchor in zip(entries, entry_slots):
+        for (entry_block, pc, _), anchor in zip(entries, anchors):
             if anchor is None:
                 continue
-            region = amap.region_of_block(entry_block)
-            index = (pc, amap.offset_in_region(entry_block))
-            sequence = self.pst.predict(index)
+            region = entry_block >> shift
+            index = (pc, entry_block & mask)
+            sequence = predict(index)
             if not sequence:
                 continue
-            result.regions[region] = index
+            regions[region] = index
             if on_region is not None:
                 on_region(region, index)
+            base = region << shift
             position = anchor
             for offset, delta in sequence:
-                position = position + delta + 1
-                if position >= self.buffer_size:
-                    result.dropped += 1
+                position += delta + 1
+                if not 0 <= position < size:
+                    dropped += 1
                     continue
-                block = amap.block_in_region(region, offset)
-                self._place(slots, position, block, result)
+                block = base | offset
+                if slots[position] is None or slots[position] == block:
+                    slots[position] = block
+                    original += 1
+                    continue
+                for step in probes:
+                    if 0 <= position + step < size \
+                            and slots[position + step] is None:
+                        slots[position + step] = block
+                        adjacent += 1
+                        break
+                else:
+                    dropped += 1
 
         # phase 3: emit in slot order, de-duplicated
-        skip_block = entries[0][0] if (entries and not include_first) else None
-        seen = set()
-        for block in slots:
-            if block is None or block in seen:
-                continue
-            seen.add(block)
-            if skip_block is not None and block == skip_block:
-                skip_block = None  # only skip its first occurrence
-                continue
-            result.blocks.append(block)
-        return result
-
-    def _place(
-        self,
-        slots: List[Optional[int]],
-        position: int,
-        block: int,
-        result: ReconstructionResult,
-    ) -> Optional[int]:
-        """Place ``block`` at ``position``, searching +/-window on conflict."""
-        if position < 0 or position >= self.buffer_size:
-            result.dropped += 1
-            return None
-        if slots[position] is None:
-            slots[position] = block
-            result.placed_original += 1
-            return position
-        if slots[position] == block:
-            result.placed_original += 1
-            return position
-        for offset in range(1, self.placement_window + 1):
-            for candidate in (position + offset, position - offset):
-                if 0 <= candidate < self.buffer_size and slots[candidate] is None:
-                    slots[candidate] = block
-                    result.placed_adjacent += 1
-                    return candidate
-        result.dropped += 1
-        return None
+        order = dict.fromkeys(slots)
+        order.pop(None, None)
+        if entries and not include_first:
+            order.pop(entries[0][0], None)
+        return ReconstructionResult(list(order), original, adjacent,
+                                    dropped, regions)

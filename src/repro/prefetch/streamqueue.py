@@ -161,6 +161,8 @@ class StreamQueueSet:
         extending it.
         """
         for queue in self._queues.values():
+            if block not in queue._pending_set:  # the common case first
+                continue
             if queue.inflight >= self.lookahead:
                 continue
             if queue.pending_position(block, self.RESYNC_WINDOW) is not None:

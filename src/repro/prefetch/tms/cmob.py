@@ -78,14 +78,18 @@ class CircularMissBuffer:
         return self._ring[pos % self.capacity]
 
     def read_from(self, pos: int, count: int) -> List[Tuple[int, int, int]]:
-        """Up to ``count`` consecutive entries starting at ``pos``."""
-        out: List[Tuple[int, int, int]] = []
-        for p in range(pos, min(pos + count, self._head)):
-            entry = self.get(p)
-            if entry is None:
-                break
-            out.append(entry)
-        return out
+        """Up to ``count`` consecutive entries starting at ``pos`` (none
+        unless ``pos`` is resident). Every position from a resident one
+        to the head is resident too, so this is one slice of the ring,
+        or two when the run wraps."""
+        end = min(pos + count, self._head)
+        if pos >= end or not self._valid(pos):
+            return []
+        start = pos % self.capacity
+        stop = start + end - pos
+        if stop <= self.capacity:
+            return self._ring[start:stop]
+        return self._ring[start:] + self._ring[:stop - self.capacity]
 
     def _valid(self, pos: int) -> bool:
         return 0 <= pos < self._head and pos > self._head - self.capacity - 1

@@ -2,8 +2,9 @@
 
 The run journal is the one record of a run's jobs: status, job
 outcomes, a per-kind throughput table (jobs, accesses, wall, acc/s),
-the slowest jobs with the worker each ran on, and the fault counters
-all come from ``journal.jsonl`` alone — every executed job's
+the slowest jobs with the worker each ran on, each broadcast wave's
+bundle loads and the fault counters all come from ``journal.jsonl``
+alone — every executed job's
 ``job_completed`` event carries its worker and wall seconds, and the
 sealing ``run_finished`` event the engine's stats. The telemetry
 plane's ``metrics.json`` adds only the hot-path phase table.
@@ -48,6 +49,7 @@ FAULT_COUNTERS = (
 )
 
 SLOWEST = 5
+TRACE_KEY = ("workload", "length", "seed")
 
 
 def load_metrics(directory: Path) -> Optional[Dict[str, Any]]:
@@ -121,6 +123,14 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
         )[:SLOWEST]
     ]
 
+    # trace key → bundle → its jobs' walls (bundle-<n> repeats per wave)
+    waves: Dict[Tuple, Dict[str, List[float]]] = {}
+    for job_hash, (worker, wall) in ran.items():
+        describe = record.scheduled.get(job_hash)
+        if describe is not None and worker.startswith("bundle-"):
+            key = tuple(describe.get(field) for field in TRACE_KEY)
+            waves.setdefault(key, {}).setdefault(worker, []).append(wall)
+
     counters: Dict[str, Any] = (metrics or {}).get("counters", {})
     phases = {}
     for phase in PHASES:
@@ -162,6 +172,11 @@ def build_report(record: RunRecord, events: List[Dict[str, Any]],
         "kinds": kinds,
         "faults": faults,
         "slowest": slowest,
+        "waves": [dict(zip(TRACE_KEY, key), bundles=[
+            {"worker": worker, "jobs": len(walls), "wall_s": round(sum(walls), 3)}
+            for worker, walls in sorted(  # bundle-2 before bundle-10
+                bundles.items(), key=lambda item: (len(item[0]), item[0]))
+        ]) for key, bundles in sorted(waves.items(), key=str)],
         "phases": phases,
         "journal_damage": (
             {"line": record.damage.line, "reason": record.damage.reason,
@@ -247,6 +262,15 @@ def render(report: Dict[str, Any]) -> str:
                 f"({entry['kind']}, attempt {entry['attempt']}) "
                 f"[{entry['worker']}]"
             )
+
+    if report["waves"]:
+        lines.append("")
+        lines.append("broadcast waves (per bundle: jobs, summed wall s):")
+        for wave in report["waves"]:
+            lines.append(f"  {wave['workload']} {wave['length']} "
+                         f"{wave['seed']}: " + ", ".join(
+                             f"{b['worker']} {b['jobs']} jobs "
+                             f"{b['wall_s']:.2f}s" for b in wave["bundles"]))
 
     if report["phases"]:
         lines.append("")
