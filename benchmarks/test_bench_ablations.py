@@ -23,10 +23,8 @@ def test_placement_window_ablation(benchmark, quick_config, db2_trace,
         return SimulationDriver(quick_config.system, pf).run(db2_trace), pf
 
     result, pf = benchmark.pedantic(run, rounds=1, iterations=1)
-    placed = pf.stats.get("recon_placed_original") + pf.stats.get(
-        "recon_placed_adjacent"
-    )
-    total = placed + pf.stats.get("recon_dropped")
+    placed = pf.stats["recon_placed_original"] + pf.stats["recon_placed_adjacent"]
+    total = placed + pf.stats["recon_dropped"]
     print(f"\nwindow={window}: coverage={result.coverage:.1%} "
           f"placed={placed / max(1, total):.1%}")
     assert result.covered > 0

@@ -48,12 +48,12 @@ def main() -> None:
     print()
     print("STeMS internals:")
     print(f"  spatial-only streams started: "
-          f"{int(stems.stats.get('spatial_only_streams'))}")
+          f"{stems.stats['spatial_only_streams']}")
     print(f"  reconstructed streams:        "
-          f"{int(stems.stats.get('reconstructed_streams'))}")
+          f"{stems.stats['reconstructed_streams']}")
     print(f"  RMOB appends / filtered:      "
-          f"{int(stems.stats.get('rmob_appends'))} / "
-          f"{int(stems.stats.get('rmob_filtered'))}")
+          f"{stems.stats['rmob_appends']} / "
+          f"{stems.stats['rmob_filtered']}")
     print()
     print("expected shape: TMS near zero (compulsory misses), SMS high, "
           "STeMS ~ SMS via spatial-only streams.")

@@ -1,4 +1,4 @@
-"""Shared infrastructure: address arithmetic, LRU containers, stats, config.
+"""Shared infrastructure: address arithmetic and configuration.
 
 These utilities are deliberately free of simulator policy — every other
 subpackage (memory system, prefetchers, analysis) builds on them.
@@ -14,8 +14,6 @@ from repro.common.config import (
     TimingConfig,
     TMSConfig,
 )
-from repro.common.lru import LRUTable
-from repro.common.stats import StatGroup
 
 __all__ = [
     "AddressMap",
@@ -27,6 +25,4 @@ __all__ = [
     "SystemConfig",
     "TimingConfig",
     "TMSConfig",
-    "LRUTable",
-    "StatGroup",
 ]

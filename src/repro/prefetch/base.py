@@ -7,11 +7,15 @@ generations end on eviction, §2.4), and collects prefetch requests after
 each access. A request is a plain ``(block, stream_id, target)`` tuple:
 ``stream_id`` is -1 outside stream-based prefetchers, and ``target`` names
 where the block is installed (:data:`TARGET_SVB` or :data:`TARGET_L1`).
+Every prefetcher counts its own events in ``stats``, a plain
+:class:`collections.Counter` the driver copies into the result's
+``prefetcher_stats``, and ends the run in :meth:`Prefetcher.finish`.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -67,6 +71,8 @@ class Prefetcher(abc.ABC):
 
     def __init__(self) -> None:
         self._pending: List[Request] = []
+        #: event name -> count (absent names read 0)
+        self.stats: Counter = Counter()
 
     @abc.abstractmethod
     def on_access(self, event: AccessEvent) -> None:
@@ -78,6 +84,10 @@ class Prefetcher(abc.ABC):
     def on_svb_discard(self, block: int, stream_id: int) -> None:
         """A streamed block left the SVB unused (keeps in-flight counts
         honest so streams are not throttled by stale fetches)."""
+
+    def finish(self) -> None:
+        """End of run: train from still-open state (SMS and STeMS flush
+        their active generations)."""
 
     def pop_requests(self) -> Sequence[Request]:
         """Drain the prefetch requests produced by recent events (an empty

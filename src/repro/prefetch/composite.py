@@ -1,9 +1,10 @@
-"""Composite prefetcher: the Table-1 stride engine plus one predictor.
+"""Composite prefetcher: two engines side by side.
 
 The paper's baseline system includes a stride prefetcher (Table 1), and
 the TMS/SMS/STeMS configurations add their predictor on top of it. This
 wrapper forwards every event to both engines and merges their requests,
-which is what the Fig. 10 performance comparison requires.
+which is what the Fig. 10 performance comparison requires. The naive
+hybrid (:mod:`repro.prefetch.hybrid`) pairs TMS with SMS the same way.
 """
 
 from __future__ import annotations
@@ -16,39 +17,49 @@ from repro.prefetch.stride import StridePrefetcher
 
 
 class CompositePrefetcher(Prefetcher):
-    """Stride engine + one main predictor, as in the paper's system model."""
+    """Stride engine + one main predictor, as in the paper's system model.
+
+    Every hook reaches ``first`` then ``second``, and their requests come
+    back in that order; an engine that ignores a hook inherits the base
+    no-op.
+    """
 
     def __init__(
         self,
         main: Prefetcher,
         stride_config: StrideConfig = StrideConfig(),
     ) -> None:
-        super().__init__()
-        self.main = main
-        self.stride = StridePrefetcher(stride_config)
+        self._pair(StridePrefetcher(stride_config), main)
         self.name = f"stride+{main.name}"
 
+    def _pair(self, first: Prefetcher, second: Prefetcher) -> None:
+        super().__init__()
+        self.first = first
+        self.second = second
+
     def on_access(self, event: AccessEvent) -> None:
-        self.stride.on_access(event)
-        self.main.on_access(event)
+        self.first.on_access(event)
+        self.second.on_access(event)
 
     def on_l1_eviction(self, block: int) -> None:
-        self.main.on_l1_eviction(block)
+        self.first.on_l1_eviction(block)
+        self.second.on_l1_eviction(block)
 
     def on_svb_discard(self, block: int, stream_id: int) -> None:
-        self.main.on_svb_discard(block, stream_id)
+        self.first.on_svb_discard(block, stream_id)
+        self.second.on_svb_discard(block, stream_id)
 
     def pop_requests(self) -> Sequence[Request]:
-        # every request names its target (stride's the L1), so both
-        # lists pass through unchanged, stride requests first
-        stride = self.stride.pop_requests()
-        main = self.main.pop_requests()
-        if not stride:
-            return main
-        if not main:
-            return stride
-        return [*stride, *main]
+        # every request names its target, so both lists pass through
+        # unchanged, the first engine's first
+        first = self.first.pop_requests()
+        second = self.second.pop_requests()
+        if not first:
+            return second
+        if not second:
+            return first
+        return [*first, *second]
 
     def finish(self) -> None:
-        if hasattr(self.main, "finish"):
-            self.main.finish()
+        self.first.finish()
+        self.second.finish()

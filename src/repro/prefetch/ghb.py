@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.stats import StatGroup
 from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher
 
 
@@ -54,7 +53,6 @@ class GHBPrefetcher(Prefetcher):
         self._ring: List[Optional[_HistoryEntry]] = [None] * config.history_entries
         self._head = 0  # absolute position of next append
         self._index: Dict[int, int] = {}  # block -> most recent position
-        self.stats = StatGroup("ghb")
 
     def _valid(self, position: Optional[int]) -> bool:
         return (
@@ -73,14 +71,14 @@ class GHBPrefetcher(Prefetcher):
 
         # predict: replay the misses that followed the previous occurrence
         if previous is not None and not event.covered:
-            self.stats.add("chain_hits")
+            self.stats["chain_hits"] += 1
             for position in range(previous + 1, previous + 1 + self.config.degree):
                 if not self._valid(position):
                     break
                 entry = self._ring[position % self.config.history_entries]
                 if entry is None:
                     break
-                self.stats.add("prefetches")
+                self.stats["prefetches"] += 1
                 self._request(entry.block, target=TARGET_SVB)
 
         # train: append to the history, linking same-address entries

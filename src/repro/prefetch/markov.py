@@ -14,11 +14,10 @@ correlation prefetchers.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.common.lru import LRUTable
-from repro.common.stats import StatGroup
 from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher
 
 
@@ -37,12 +36,16 @@ class MarkovPrefetcher(Prefetcher):
     name = "markov"
 
     def __init__(self, config: MarkovConfig = MarkovConfig()) -> None:
+        if config.table_entries <= 0:
+            raise ValueError(
+                f"capacity must be positive, got {config.table_entries}"
+            )
         super().__init__()
         self.config = config
-        #: miss address -> {successor block: count}, LRU bounded
-        self._table: LRUTable[int, Dict[int, int]] = LRUTable(config.table_entries)
+        #: miss address -> {successor block: count}, least recently used
+        #: first
+        self._table: OrderedDict[int, Dict[int, int]] = OrderedDict()
         self._previous_miss: Optional[int] = None
-        self.stats = StatGroup("markov")
 
     def on_access(self, event: AccessEvent) -> None:
         if event.access.is_write or not event.offchip:
@@ -50,19 +53,26 @@ class MarkovPrefetcher(Prefetcher):
         block = event.block
 
         # predict the most likely successors of this miss
-        entry = self._table.get(block)
+        table = self._table
+        entry = table.get(block)
+        if entry is not None:
+            table.move_to_end(block)
         if entry and not event.covered:
             ranked = sorted(entry.items(), key=lambda kv: -kv[1])
             for successor, _count in ranked[: self.config.fanout]:
-                self.stats.add("prefetches")
+                self.stats["prefetches"] += 1
                 self._request(successor, target=TARGET_SVB)
 
         # train the (previous miss -> this miss) transition
-        if self._previous_miss is not None and self._previous_miss != block:
-            transitions = self._table.get(self._previous_miss)
+        previous = self._previous_miss
+        if previous is not None and previous != block:
+            transitions = table.get(previous)
             if transitions is None:
-                transitions = {}
-                self._table.put(self._previous_miss, transitions)
+                if len(table) >= self.config.table_entries:
+                    table.popitem(last=False)
+                transitions = table[previous] = {}
+            else:
+                table.move_to_end(previous)
             transitions[block] = transitions.get(block, 0) + 1
             if len(transitions) > self.config.successors:
                 weakest = min(transitions, key=transitions.__getitem__)

@@ -14,23 +14,24 @@ learned once predicts immediately (SMS's fast-training property, §2.4).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Set
 
 from repro.common.config import SMSConfig
-from repro.common.lru import LRUTable
 from repro.prefetch.sms.generations import SpatialIndex
 
 
 class PatternHistoryTable:
-    """LRU-bounded spatial pattern store."""
+    """LRU-bounded spatial pattern store (an ``OrderedDict``, least
+    recently used first, LRU steps inline)."""
 
     def __init__(self, config: SMSConfig, blocks_per_region: int) -> None:
+        if config.pht_entries <= 0:
+            raise ValueError(f"capacity must be positive, got {config.pht_entries}")
         self.config = config
         self.blocks_per_region = blocks_per_region
         # index -> per-offset counter (counter mode) or 0/1 flags (bit mode)
-        self._table: LRUTable[SpatialIndex, Dict[int, int]] = LRUTable(
-            config.pht_entries
-        )
+        self._table: OrderedDict[SpatialIndex, Dict[int, int]] = OrderedDict()
         self.trainings = 0
 
     def __contains__(self, index: SpatialIndex) -> bool:
@@ -43,16 +44,19 @@ class PatternHistoryTable:
         """Fold one completed generation's footprint into the table."""
         self.trainings += 1
         offsets = {o for o in accessed_offsets if 0 <= o < self.blocks_per_region}
+        table = self._table
+        entry = table.get(index)
+        if entry is not None:
+            table.move_to_end(index)
+        elif len(table) >= self.config.pht_entries:
+            table.popitem(last=False)
         if not self.config.use_counters:
-            self._table.put(index, {o: 1 for o in offsets})
+            table[index] = {o: 1 for o in offsets}
             return
-        entry = self._table.get(index)
         if entry is None:
             # optimistic initialization for a brand-new index: a layout
             # learned once predicts immediately (fast training, §2.4)
-            self._table.put(
-                index, {o: self.config.predict_threshold for o in offsets}
-            )
+            table[index] = {o: self.config.predict_threshold for o in offsets}
             return
         for offset in offsets:
             # offsets joining an established pattern start below threshold:
@@ -67,9 +71,11 @@ class PatternHistoryTable:
 
     def predict(self, index: SpatialIndex) -> List[int]:
         """Offsets predicted for ``index`` (unordered; SMS has no order)."""
-        entry = self._table.get(index)
+        table = self._table
+        entry = table.get(index)
         if entry is None:
             return []
+        table.move_to_end(index)
         if not self.config.use_counters:
             return sorted(entry)
         threshold = self.config.predict_threshold

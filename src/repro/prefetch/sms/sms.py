@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.common.addresses import AddressMap, DEFAULT_ADDRESS_MAP
 from repro.common.config import SMSConfig
-from repro.common.stats import StatGroup
 from repro.prefetch.base import TARGET_L1, AccessEvent, Prefetcher
 from repro.prefetch.sms.generations import ActiveGenerationTable, GenerationRecord
 from repro.prefetch.sms.pht import PatternHistoryTable
@@ -33,7 +32,6 @@ class SMSPrefetcher(Prefetcher):
         self.agt = ActiveGenerationTable(
             config.agt_entries, address_map, on_generation_end=self._train
         )
-        self.stats = StatGroup("sms")
 
     def _train(self, record: GenerationRecord) -> None:
         self.pht.train(record.index, record.accessed_offsets())
@@ -48,11 +46,11 @@ class SMSPrefetcher(Prefetcher):
         predicted = self.pht.predict(record.index)
         if not predicted:
             return
-        self.stats.add("trigger_predictions")
+        self.stats["trigger_predictions"] += 1
         for offset in predicted:
             if offset == record.trigger_offset:
                 continue
-            self.stats.add("blocks_predicted")
+            self.stats["blocks_predicted"] += 1
             self._request(
                 self.address_map.block_in_region(record.region, offset),
                 target=TARGET_L1,

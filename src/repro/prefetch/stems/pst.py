@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import STeMSConfig
 from repro.prefetch.sms.generations import SequenceElement, SpatialIndex
+
+#: one index's prediction: ``(offset, delta)`` pairs in stored order, and
+#: their offsets
+_Prediction = Tuple[List[Tuple[int, int]], FrozenSet[int]]
+
+_NO_OFFSETS: FrozenSet[int] = frozenset()
 
 
 @dataclass
@@ -35,8 +41,8 @@ class PatternSequenceTable:
         self.config = config
         self.blocks_per_region = blocks_per_region
         self._table: OrderedDict[SpatialIndex, Dict[int, _BlockState]] = OrderedDict()
-        #: each index's :meth:`predict` list, until retrained or evicted
-        self._predicted: Dict[SpatialIndex, List[Tuple[int, int]]] = {}
+        #: each index's prediction, until retrained or evicted
+        self._predicted: Dict[SpatialIndex, _Prediction] = {}
         self.trainings = 0
 
     def __contains__(self, index: SpatialIndex) -> bool:
@@ -106,32 +112,35 @@ class PatternSequenceTable:
         """
         predicted = self._predicted.get(index)  # set only while resident
         if predicted is None:
-            entry = self._table.get(index)
-            if entry is None:
+            predicted = self._build(index)
+            if predicted is None:
                 return []
-            threshold = self.config.predict_threshold
-            chosen = sorted(
-                (state.position, offset, state.delta)
-                for offset, state in entry.items() if state.counter >= threshold
-            )
-            predicted = self._predicted[index] = [(o, d) for _, o, d in chosen]
         self._table.move_to_end(index)
-        return predicted
+        return predicted[0]
 
-    def predict_offsets(self, index: SpatialIndex) -> Set[int]:
-        """Predicted offsets only (used for the RMOB filtering decision).
-
-        Runs once per off-chip read event, so it skips :meth:`predict`'s
-        ordering and pair construction — the set of offsets meeting the
-        threshold is the same either way.
+    def predict_offsets(self, index: SpatialIndex) -> FrozenSet[int]:
+        """The offsets :meth:`predict` returns, as a set (the RMOB
+        filtering decision, once per off-chip read event); shares
+        :meth:`predict`'s memo and refreshes recency the same way.
         """
-        table = self._table
-        entry = table.get(index)
+        predicted = self._predicted.get(index)
+        if predicted is None:
+            predicted = self._build(index)
+            if predicted is None:
+                return _NO_OFFSETS
+        self._table.move_to_end(index)
+        return predicted[1]
+
+    def _build(self, index: SpatialIndex) -> Optional[_Prediction]:
+        """Memoize ``index``'s prediction; None when it is not resident."""
+        entry = self._table.get(index)
         if entry is None:
-            return set()
-        table.move_to_end(index)
+            return None
         threshold = self.config.predict_threshold
-        return {
-            offset for offset, state in entry.items()
-            if state.counter >= threshold
-        }
+        chosen = sorted(
+            (state.position, offset, state.delta)
+            for offset, state in entry.items() if state.counter >= threshold
+        )
+        pairs = [(o, d) for _, o, d in chosen]
+        predicted = self._predicted[index] = (pairs, frozenset(o for o, _ in pairs))
+        return predicted

@@ -23,13 +23,12 @@ Streaming (§4.2):
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Set
 
 from repro.common.addresses import AddressMap, DEFAULT_ADDRESS_MAP
 from repro.common.config import STeMSConfig
-from repro.common.lru import LRUTable
-from repro.common.stats import StatGroup
 from repro.memsys.hierarchy import ServiceLevel
 from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher
 from repro.prefetch.sms.generations import (
@@ -58,6 +57,8 @@ class STeMSPrefetcher(Prefetcher):
 
     #: bound on the per-stream de-duplication set
     MAX_ISSUED_TRACKED = 8192
+    #: regions remembered from reconstruction (LRU beyond this)
+    RECONSTRUCTED_REGIONS = 4096
 
     def __init__(
         self,
@@ -82,13 +83,11 @@ class STeMSPrefetcher(Prefetcher):
             config.stream_queues, config.lookahead, config.initial_fetch
         )
         #: regions predicted by reconstruction -> index used (for the
-        #: spatial-only stream decision, §4.2)
-        self._reconstructed: LRUTable[int, SpatialIndex] = LRUTable(4096)
+        #: spatial-only stream decision, §4.2), least recently set first
+        self._reconstructed: OrderedDict[int, SpatialIndex] = OrderedDict()
         self._miss_count = 0  # off-chip read events observed so far
         self._skipped = 0  # misses omitted from the RMOB since last append
-        self.stats = StatGroup("stems")
-        # hot-loop bindings: ``on_access`` runs once per simulated access
-        self._counters = self.stats._counters
+        # hot-loop binding: ``on_access`` runs once per simulated access
         self._offset_mask = address_map.blocks_per_region - 1
 
     # -- training ----------------------------------------------------------------
@@ -113,7 +112,7 @@ class STeMSPrefetcher(Prefetcher):
         if is_read and event.level == ServiceLevel.MEMORY and not event.covered:
             pending = self.queues.find_pending(block)
             if pending is not None:
-                self._counters["stream_resyncs"] += 1
+                self.stats["stream_resyncs"] += 1
                 for pf_block in self.queues.resync(pending.stream_id, block):
                     self._request(
                         pf_block, stream_id=pending.stream_id, target=TARGET_SVB
@@ -141,10 +140,10 @@ class STeMSPrefetcher(Prefetcher):
             if is_trigger or not spatially_predicted:
                 self.rmob.append(block, pc=pc, delta=self._skipped)
                 self._skipped = 0
-                self._counters["rmob_appends"] += 1
+                self.stats["rmob_appends"] += 1
             else:
                 self._skipped += 1
-                self._counters["rmob_filtered"] += 1
+                self.stats["rmob_filtered"] += 1
             self._miss_count += 1
 
     def on_l1_eviction(self, block: int) -> None:
@@ -189,7 +188,7 @@ class STeMSPrefetcher(Prefetcher):
         queue, initial = self.queues.allocate(
             result.blocks, refill=self._refill, cursor=cursor
         )
-        self.stats.add("reconstructed_streams")
+        self.stats["reconstructed_streams"] += 1
         for block in initial:
             self._request(block, stream_id=queue.stream_id, target=TARGET_SVB)
 
@@ -212,7 +211,7 @@ class STeMSPrefetcher(Prefetcher):
     def _maybe_spatial_only_stream(self, record: GenerationRecord) -> None:
         """§4.2: begin a spatial-only stream when the observed trigger index
         differs from (or was absent in) the reconstructed prediction."""
-        predicted_index = self._reconstructed.peek(record.region)
+        predicted_index = self._reconstructed.get(record.region)
         if predicted_index == record.index:
             return
         sequence = self.pst.predict(record.index)
@@ -225,15 +224,20 @@ class STeMSPrefetcher(Prefetcher):
         ]
         if not blocks:
             return
-        self.stats.add("spatial_only_streams")
+        self.stats["spatial_only_streams"] += 1
         queue, initial = self.queues.allocate(blocks)
         for block in initial:
             self._request(block, stream_id=queue.stream_id, target=TARGET_SVB)
 
     def _register_region(self, region: int, index: SpatialIndex) -> None:
-        self._reconstructed.put(region, index)
+        regions = self._reconstructed
+        if region in regions:
+            regions.move_to_end(region)
+        elif len(regions) >= self.RECONSTRUCTED_REGIONS:
+            regions.popitem(last=False)
+        regions[region] = index
 
     def _note_placement(self, result) -> None:
-        self.stats.add("recon_placed_original", result.placed_original)
-        self.stats.add("recon_placed_adjacent", result.placed_adjacent)
-        self.stats.add("recon_dropped", result.dropped)
+        self.stats["recon_placed_original"] += result.placed_original
+        self.stats["recon_placed_adjacent"] += result.placed_adjacent
+        self.stats["recon_dropped"] += result.dropped

@@ -8,12 +8,11 @@ distinct strides it tracks (Table 1: "max 16 distinct strides").
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict
 
 from repro.common.config import StrideConfig
-from repro.common.lru import LRUTable
-from repro.common.stats import StatGroup
 from repro.prefetch.base import TARGET_L1, AccessEvent, Prefetcher
 
 
@@ -30,22 +29,31 @@ class StridePrefetcher(Prefetcher):
     name = "stride"
 
     def __init__(self, config: StrideConfig = StrideConfig()) -> None:
+        if config.table_entries <= 0:
+            raise ValueError(
+                f"capacity must be positive, got {config.table_entries}"
+            )
         super().__init__()
         self.config = config
-        self._table: LRUTable[int, _StrideEntry] = LRUTable(
-            config.table_entries, on_evict=self._on_evict
-        )
+        #: PC -> entry, least recently used first
+        self._table: OrderedDict[int, _StrideEntry] = OrderedDict()
         #: live non-zero stride -> number of table entries holding it, so
         #: the distinct-stride cap is checked without scanning the table
         self._stride_counts: Dict[int, int] = {}
-        self.stats = StatGroup("stride")
 
     def on_access(self, event: AccessEvent) -> None:
         pc, block = event.access.pc, event.block
-        entry = self._table.get(pc)
+        table = self._table
+        entry = table.get(pc)
         if entry is None:
-            self._table.put(pc, _StrideEntry(last_block=block))
+            if len(table) >= self.config.table_entries:
+                # the displaced entry no longer holds its stride
+                evicted = table.popitem(last=False)[1]
+                if evicted.stride:
+                    self._release(evicted.stride)
+            table[pc] = _StrideEntry(last_block=block)
             return
+        table.move_to_end(pc)
         stride = block - entry.last_block
         entry.last_block = block
         if stride == 0:
@@ -63,7 +71,7 @@ class StridePrefetcher(Prefetcher):
             entry.stride = stride
             entry.confidence = 1
         if entry.confidence >= self.config.confidence_threshold:
-            self.stats.add("predictions")
+            self.stats["predictions"] += 1
             for step in range(1, self.config.degree + 1):
                 target_block = block + entry.stride * step
                 if target_block >= 0:
@@ -73,10 +81,6 @@ class StridePrefetcher(Prefetcher):
         """Enforce the distinct-stride cap across the table."""
         counts = self._stride_counts
         return stride in counts or len(counts) < self.config.max_distinct_strides
-
-    def _on_evict(self, pc: int, entry: _StrideEntry) -> None:
-        if entry.stride:
-            self._release(entry.stride)
 
     def _release(self, stride: int) -> None:
         """One fewer table entry holds ``stride``."""

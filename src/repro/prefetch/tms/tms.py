@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import TMSConfig
-from repro.common.stats import StatGroup
 from repro.prefetch.base import TARGET_SVB, AccessEvent, Prefetcher
 from repro.prefetch.streamqueue import StreamQueue, StreamQueueSet
 from repro.prefetch.tms.cmob import CircularMissBuffer
@@ -39,7 +38,6 @@ class TMSPrefetcher(Prefetcher):
         self.queues = StreamQueueSet(
             config.stream_queues, config.lookahead, config.initial_fetch
         )
-        self.stats = StatGroup("tms")
 
     def on_access(self, event: AccessEvent) -> None:
         if event.access.is_write:
@@ -57,7 +55,7 @@ class TMSPrefetcher(Prefetcher):
         if not event.covered:
             pending = self.queues.find_pending(event.block)
             if pending is not None:
-                self.stats.add("stream_resyncs")
+                self.stats["stream_resyncs"] += 1
                 for block in self.queues.resync(pending.stream_id, event.block):
                     self._request(
                         block, stream_id=pending.stream_id, target=TARGET_SVB
@@ -75,7 +73,7 @@ class TMSPrefetcher(Prefetcher):
             queue.inflight = max(0, queue.inflight - 1)
 
     def _allocate_stream(self, start_position: int) -> None:
-        self.stats.add("streams_allocated")
+        self.stats["streams_allocated"] += 1
         queue, initial = self.queues.allocate(
             [], refill=self._refill, cursor=_TMSCursor(start_position)
         )

@@ -345,10 +345,8 @@ class SimulationDriver:
             # end of walk: whatever was fetched but never used is erroneous
             svb.drain_unused()
             result.overpredictions += hierarchy.l1.unused_prefetch_count()
-            if hasattr(prefetcher, "finish"):
-                prefetcher.finish()
-            if hasattr(prefetcher, "stats"):
-                result.prefetcher_stats = prefetcher.stats.to_dict()
+            prefetcher.finish()
+            result.prefetcher_stats = dict(prefetcher.stats)
             return result
 
         block_bits = system.address_map.block_bits

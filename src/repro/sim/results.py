@@ -33,7 +33,7 @@ class CoverageResult:
     uncovered: int = 0
     issued_prefetches: int = 0
     overpredictions: int = 0
-    prefetcher_stats: Dict[str, object] = field(default_factory=dict)
+    prefetcher_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def baseline_misses(self) -> int:

@@ -117,15 +117,6 @@ class TraceStoreStats:
             "replay_fallbacks": self.replay_fallbacks,
         }
 
-    def absorb(self, delta: Dict[str, int]) -> None:
-        """Fold another handle's counters (e.g. a pool worker's) in."""
-        self.hits += delta.get("hits", 0)
-        self.misses += delta.get("misses", 0)
-        self.generated += delta.get("generated", 0)
-        self.bytes_replayed += delta.get("bytes_replayed", 0)
-        self.quarantined += delta.get("quarantined", 0)
-        self.replay_fallbacks += delta.get("replay_fallbacks", 0)
-
 
 class TraceStore:
     """Sharded record-once/replay-many trace store under ``directory``."""

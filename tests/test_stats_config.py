@@ -1,4 +1,4 @@
-"""Tests for StatGroup and the configuration dataclasses."""
+"""Tests for the configuration dataclasses."""
 
 import pytest
 
@@ -9,47 +9,6 @@ from repro.common.config import (
     SystemConfig,
     TMSConfig,
 )
-from repro.common.stats import StatGroup
-
-
-class TestStatGroup:
-    def test_add_and_get(self):
-        s = StatGroup("x")
-        s.add("hits")
-        s.add("hits", 2)
-        assert s.get("hits") == 3
-        assert s["hits"] == 3
-        assert s.get("absent") == 0
-
-    def test_ratio(self):
-        s = StatGroup()
-        s.add("covered", 30)
-        s.add("misses", 120)
-        assert s.ratio("covered", "misses") == pytest.approx(0.25)
-        assert s.ratio("covered", "nonexistent") == 0.0
-
-    def test_children_and_merge(self):
-        a = StatGroup("a")
-        a.child("sub").add("n", 1)
-        b = StatGroup("b")
-        b.child("sub").add("n", 2)
-        b.add("top", 5)
-        a.merge(b)
-        assert a.child("sub").get("n") == 3
-        assert a.get("top") == 5
-
-    def test_to_dict(self):
-        s = StatGroup()
-        s.add("x", 1)
-        s.child("c").add("y", 2)
-        d = s.to_dict()
-        assert d["x"] == 1
-        assert d["c"]["y"] == 2
-
-    def test_format_renders_integers(self):
-        s = StatGroup("g")
-        s.add("n", 2)
-        assert "n: 2" in s.format()
 
 
 class TestCacheConfig:

@@ -29,7 +29,7 @@ class TestTraining:
     def test_triggers_always_appended_to_rmob(self):
         pf = STeMSPrefetcher()
         miss(pf, 0, block(1, 0))
-        assert pf.stats.get("rmob_appends") == 1
+        assert pf.stats["rmob_appends"] == 1
 
     def test_spatially_predicted_misses_filtered(self):
         pf = STeMSPrefetcher()
@@ -39,16 +39,16 @@ class TestTraining:
         pf.on_l1_eviction(block(1, 3))  # train
         # replay on a new region: the trigger appends, offset 3 is filtered
         miss(pf, 2, block(2, 0), pc=0x1)
-        appends_before = pf.stats.get("rmob_appends")
+        appends_before = pf.stats["rmob_appends"]
         miss(pf, 3, block(2, 3), pc=0x2)
-        assert pf.stats.get("rmob_appends") == appends_before
-        assert pf.stats.get("rmob_filtered") == 1
+        assert pf.stats["rmob_appends"] == appends_before
+        assert pf.stats["rmob_filtered"] == 1
 
     def test_unpredicted_spatial_misses_appended(self):
         pf = STeMSPrefetcher()
         miss(pf, 0, block(1, 0))
         miss(pf, 1, block(1, 9))  # nothing learned yet: spatial miss
-        assert pf.stats.get("rmob_appends") == 2
+        assert pf.stats["rmob_appends"] == 2
 
     def test_rmob_deltas_count_filtered_misses(self):
         pf = STeMSPrefetcher()
@@ -81,7 +81,7 @@ class TestSpatialOnlyStreams:
         # new region trigger with the learned index: spatial-only stream
         miss(pf, 3, block(5, 0), pc=0x1)
         requests = pf.pop_requests()
-        assert pf.stats.get("spatial_only_streams") == 1
+        assert pf.stats["spatial_only_streams"] == 1
         # throttled start: initial_fetch blocks, in sequence order
         assert [b for b, _, _ in requests] == [block(5, 3), block(5, 7)][
             : STeMSConfig().initial_fetch
@@ -106,7 +106,7 @@ class TestSpatialOnlyStreams:
         pf = STeMSPrefetcher()
         miss(pf, 0, block(5, 0), pc=0x77)
         assert pf.pop_requests() == ()
-        assert pf.stats.get("spatial_only_streams") == 0
+        assert pf.stats["spatial_only_streams"] == 0
 
 
 class TestReconstructedStreams:
@@ -119,7 +119,7 @@ class TestReconstructedStreams:
         miss(pf, 10, blocks[0], pc=0x1)  # recurs: reconstruct from here
         requests = [b for b, _, _ in pf.pop_requests()]
         assert requests == blocks[1:]
-        assert pf.stats.get("reconstructed_streams") == 1
+        assert pf.stats["reconstructed_streams"] == 1
 
     def test_reconstruction_interleaves_spatial_sequences(self):
         pf = STeMSPrefetcher(STeMSConfig(initial_fetch=8))

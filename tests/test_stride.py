@@ -97,7 +97,7 @@ class TestDistinctStrideCap:
         assert feed_one(pf, 3, 2, 202) == [(204, -1, "l1")]  # stride 2
         feed_one(pf, 4, 3, 300)
         assert feed_one(pf, 5, 3, 303) == ()  # stride 3: over the cap
-        entry = pf._table.peek(3)
+        entry = pf._table.get(3)
         assert entry.confidence == 0 and entry.stride == 0
         assert feed_one(pf, 6, 3, 306) == ()  # still refused
 
@@ -155,4 +155,4 @@ def test_stride_cap_matches_table_rescan(table_entries, max_distinct, runs):
             assert (feed_one(pf, index, pc, block)
                     == feed_one(reference, index, pc, block))
             index += 1
-    assert pf.stats.to_dict() == reference.stats.to_dict()
+    assert pf.stats == reference.stats

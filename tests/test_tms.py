@@ -117,7 +117,7 @@ class TestTMSPrefetcher:
         # demand jumps to 3, which is pending (not yet fetched): re-sync
         pf.on_access(miss_event(11, 3))
         assert pf.queues.allocated == allocated_before
-        assert pf.stats.get("stream_resyncs") == 1
+        assert pf.stats["stream_resyncs"] == 1
         blocks = [b for b, _, _ in pf.pop_requests()]
         assert blocks and blocks[0] == 4  # skipped past 3
 
