@@ -18,6 +18,12 @@ The robustness contract asserted here:
 * the recovery counters (retries/requeues/respawns and quarantines) are
   **nonzero** — the faults really fired and were really recovered.
 
+A third pass checks **failure parity**: the sweep reruns under
+``REPRO_FAULT_INJECT=job_fail:0.2@seed=0@max_attempt=1`` with one
+attempt per job, once with ``Engine(jobs=1)`` and once at ``--jobs N``
+with a trace store. Both runs must fail the same jobs, and that set must
+be non-empty and smaller than the sweep.
+
 Also emits the perf-trajectory record (ROADMAP item 5): accesses/sec
 per job kind, store hit rate, and wall times for the reference sweep,
 written as JSON. The record's PR number is parsed from the
@@ -50,6 +56,7 @@ from repro.experiments import fig9, fig10  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 
 FAULT_SPEC = "worker_crash:0.2,trace_corrupt:1"
+PARITY_SPEC = "job_fail:0.2@seed=0@max_attempt=1"
 
 
 def pr_number_from_bench_out(path) -> "int | None":
@@ -176,6 +183,33 @@ def main(argv=None) -> int:
         failures.append("injected run recorded no retry/requeue work")
     if injected.stats.quarantined == 0:
         failures.append("injected run recorded no quarantines")
+
+    # failure parity: with one attempt per job, the serial and the
+    # parallel run must fail exactly the same jobs
+    failed = []
+    single = RetryPolicy(attempts=1, backoff=0.0)
+    os.environ[ENV_VAR] = PARITY_SPEC
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-parity-") as store_dir:
+            for engine in (
+                Engine(jobs=1, retry=single),
+                Engine(jobs=args.jobs, trace_store=store_dir, retry=single),
+            ):
+                results = engine.run(declare(config))
+                failed.append({f.label for f in results.failures()})
+    finally:
+        del os.environ[ENV_VAR]
+    swept = len(declare(config))
+    print(f"[parity   ] {PARITY_SPEC}: --jobs 1 fails {len(failed[0])} and "
+          f"--jobs {args.jobs} fails {len(failed[1])} of {swept} jobs")
+    if failed[0] != failed[1]:
+        failures.append(
+            f"--jobs 1 and --jobs {args.jobs} failed different jobs: "
+            f"{sorted(failed[0] ^ failed[1])}"
+        )
+    if not 0 < len(failed[0]) < swept:
+        failures.append(f"{PARITY_SPEC} failed {len(failed[0])} of {swept} "
+                        "jobs; the parity check needs some, not all")
 
     # perf trajectory: replay throughput per job kind over a warm store
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as bench_dir:

@@ -30,15 +30,31 @@ Trace generation is scheduled as a shared resource (the *trace plane*):
 
 Execution is **fault-tolerant** (:mod:`repro.engine.faults`): every job
 runs under a :class:`RetryPolicy` (attempts, deterministic-jitter
-backoff, per-job wall-clock timeout), a dead worker breaks only the
-jobs that were in flight (the pool is respawned and they are requeued;
-finished results are kept), corrupt trace/cache entries are quarantined
-and regenerated, and each recovery has an explicit degradation ladder:
-replay → regeneration, fan-out group → per-job isolation, parallel →
-serial. A job that exhausts its retries surfaces as a structured
+backoff, per-job wall-clock timeout), and every path — serial groups,
+pool jobs, broadcast bundles — walks one recovery ladder:
+
+1. *rerun on damage*: a walk whose store entry verifies damaged (or was
+   replaced under it) quarantines the entry and reruns once, uncharged,
+   regenerating the trace (:func:`~repro.engine.exec.run_recovering`);
+2. *isolate a failed shared walk*: a group walk that still fails — a
+   serial trace-key group, or a broadcast bundle that errs or dies —
+   charges none of its jobs; each job runs alone (inline, or queued to
+   the pool with a fresh attempt log);
+3. *charge a failed solo attempt* (:meth:`Engine._charge`): the job's
+   retry budget pays, with deterministic backoff before the next
+   attempt; a dead pool worker is charged only to the jobs whose
+   injected crash draw fired (all in-flight jobs when none is
+   injected), a timeout only to the overrunner, and the pool's
+   innocents are requeued for free;
+4. *gate each job once*: ``kill_at_job`` counts a job at its first
+   dispatch only, whatever path reruns it (:meth:`Engine._dispatch_gate`).
+
+A pool that keeps dying degrades to serial. A job that exhausts its
+retries surfaces as a structured
 :class:`~repro.engine.faults.JobFailure` in the :class:`ResultMap`
 (``strict=True`` raises :class:`~repro.engine.faults.JobExecutionError`
-instead); everything else keeps running.
+instead); everything else keeps running, and every mode fails the same
+jobs after the same attempts.
 
 Results are bit-identical across every mode — including runs degraded
 by injected or real faults; only the accounting in :class:`EngineStats`
@@ -61,9 +77,9 @@ from repro.engine.exec import (
     deal_bundles,
     execute_jobs_broadcast,
     execute_job_for_pool,
-    job_trace,
     record_trace_for_pool,
-    run_group,
+    run_recovering,
+    walk_report,
 )
 from repro.engine.faultinject import active_plan, maybe_kill_run
 from repro.engine.faults import (
@@ -96,6 +112,19 @@ _STAT_FIELDS = (
     "failures",
 )
 
+#: the fault counters with their stderr wording, in display order; any
+#: of them nonzero makes a run degraded (exit code 1)
+FAULT_COUNTERS = {
+    "retries": "retries", "requeued": "requeued", "timeouts": "timeouts",
+    "pool_respawns": "pool respawns", "quarantined": "quarantined",
+    "cache_corrupt": "corrupt cache entries",
+    "replay_fallbacks": "replay fallbacks",
+    "isolation_fallbacks": "isolation fallbacks",
+    "serial_fallbacks": "serial fallbacks",
+    "broadcast_fallbacks": "broadcast fallbacks",
+    "failures": "failed jobs",
+}
+
 
 class EngineStats:
     """Work accounting for one engine (accumulated across run() calls).
@@ -124,9 +153,10 @@ class EngineStats:
     (damaged trace entries and cache shards moved aside),
     ``cache_corrupt`` (corrupt cache shards detected),
     ``replay_fallbacks`` (store replays degraded to regeneration),
-    ``isolation_fallbacks`` (fan-out groups degraded to per-job
-    execution), ``serial_fallbacks`` (parallel batches degraded to the
-    serial path), and ``failures`` (jobs that exhausted every retry).
+    ``isolation_fallbacks`` (serial groups and broadcast bundles
+    degraded to per-job execution), ``serial_fallbacks`` (parallel
+    batches degraded to the serial path), and ``failures`` (jobs that
+    exhausted every retry).
     A clean run keeps all of them at zero.
 
     Since the telemetry plane landed, this class is a **view** over a
@@ -170,13 +200,7 @@ class EngineStats:
     @property
     def degraded(self) -> bool:
         """True when any recovery path fired (the exit-code-1 signal)."""
-        return bool(
-            self.retries or self.requeued or self.timeouts
-            or self.pool_respawns or self.quarantined or self.cache_corrupt
-            or self.replay_fallbacks or self.isolation_fallbacks
-            or self.serial_fallbacks or self.broadcast_fallbacks
-            or self.failures
-        )
+        return any(getattr(self, name) for name in FAULT_COUNTERS)
 
     def format(self) -> str:
         unique = self.requested - self.deduplicated
@@ -201,21 +225,9 @@ class EngineStats:
             )
         if self.degraded:
             parts = [
-                f"{value} {name}"
-                for name, value in (
-                    ("retries", self.retries),
-                    ("requeued", self.requeued),
-                    ("timeouts", self.timeouts),
-                    ("pool respawns", self.pool_respawns),
-                    ("quarantined", self.quarantined),
-                    ("corrupt cache entries", self.cache_corrupt),
-                    ("replay fallbacks", self.replay_fallbacks),
-                    ("isolation fallbacks", self.isolation_fallbacks),
-                    ("serial fallbacks", self.serial_fallbacks),
-                    ("broadcast fallbacks", self.broadcast_fallbacks),
-                    ("failed jobs", self.failures),
-                )
-                if value
+                f"{getattr(self, name)} {wording}"
+                for name, wording in FAULT_COUNTERS.items()
+                if getattr(self, name)
             ]
             text += "; faults: " + ", ".join(parts)
         return text
@@ -288,7 +300,7 @@ class Engine:
         retry: the :class:`~repro.engine.faults.RetryPolicy` failing
             jobs run under (attempts, backoff, per-job timeout). None
             uses the default policy (3 attempts, no timeout);
-            ``RetryPolicy.none()`` restores fail-fast single attempts.
+            ``RetryPolicy(attempts=1)`` fails fast.
         strict: when True, a job that exhausts its retries raises
             :class:`~repro.engine.faults.JobExecutionError` instead of
             degrading to a :class:`~repro.engine.faults.JobFailure` in
@@ -339,6 +351,8 @@ class Engine:
         #: by the path that ran it and taken by :meth:`run` when it
         #: journals the completion
         self._ran: Dict[str, Tuple[str, float]] = {}
+        #: jobs that passed :meth:`_dispatch_gate` in the current run
+        self._gated: "set[str]" = set()
 
     def run(self, graph: JobGraph) -> ResultMap:
         """Execute every job in ``graph``.
@@ -366,6 +380,7 @@ class Engine:
             process_registry().snapshot() if telemetry.enabled else None
         )
         results = ResultMap()
+        self._gated.clear()
         pending = []
         for job in graph:
             if journal is not None:
@@ -430,12 +445,17 @@ class Engine:
             scheduled = journal.jobs_scheduled if journal is not None else 0
             raise RunInterrupted(completed, max(0, scheduled - completed))
 
-    def _dispatch_gate(self) -> None:
-        """The per-job-dispatch checkpoint: the deterministic
-        ``kill_at_job`` injection point plus the interrupt poll. Called
-        exactly once per first dispatch of a job, so the injector's
-        dispatch index is stable across runs."""
-        maybe_kill_run()
+    def _dispatch_gate(self, job: SimJob) -> None:
+        """The checkpoint every dispatch of ``job`` passes: the
+        interrupt poll, plus — at the job's first dispatch in this run,
+        on whichever path — the deterministic ``kill_at_job`` injection
+        point. A retry, or a job dispatched again without a charge (a
+        pool death's innocents, a timeout's bystanders, an isolated
+        group or bundle), is not counted again, so the injector's
+        dispatch index is the same in every mode."""
+        if job.job_hash not in self._gated:
+            self._gated.add(job.job_hash)
+            maybe_kill_run()
         self._check_interrupt()
 
     def _execute(self, pending: "list[SimJob]") -> Iterable["tuple[SimJob, Any]"]:
@@ -449,48 +469,22 @@ class Engine:
     def _execute_serial(
         self, pending: "list[SimJob]"
     ) -> Iterable["tuple[SimJob, Any]"]:
-        for key, group in _grouped_by_trace_key(pending).items():
-            yield from self._run_group_resilient(key, group)
-
-    def _run_group_resilient(
-        self, key, group: "list[SimJob]"
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """One fan-out group, with the serial degradation ladder wired.
-
-        Step 1 — replay → regeneration: when the shared walk fails and
-        the store entry it replayed does not verify (codec CRC, record
-        decode — damage shows up either as a
-        :class:`TraceFormatError` or as a consumer choking on a garbage
-        access), the entry is quarantined and the group rerun with a
-        fresh generation pass (which re-records it).
-
-        Step 2 — fan-out → isolation: a failure with a verified-clean
-        (or absent) trace cannot be blamed on the data, and the shared
-        walk cannot attribute it to one consumer — the group degrades to
-        per-job solo execution under the retry ladder, so one bad job
-        cannot sink its trace-key peers.
-        """
+        """Each trace key's group in one shared :meth:`_walk`. A group
+        whose walk still fails after the free rerun on damage is
+        isolated: none of its jobs is charged, and each runs alone
+        under the retry policy, so one bad job cannot sink its peers."""
         journal = self.journal
-        for job in group:
-            # one dispatch per job even though the group shares a walk —
-            # keeps kill_at_job indices meaningful across modes
-            self._dispatch_gate()
-            if journal is not None:
-                journal.attempt_started(job.job_hash, 1)
-        for _ in range(2):
+        for group in _grouped_by_trace_key(pending).values():
+            for job in group:
+                self._dispatch_gate(job)
+                if journal is not None:
+                    journal.attempt_started(job.job_hash, 1)
             try:
-                results = self._walk(group, 1)
-            except Exception as error:
-                if self._quarantine_if_damaged(
-                    key, f"replay failed mid-walk: {error}"
-                ):
-                    continue  # the rerun regenerates (entry is gone)
-                break  # job-level failure: isolate below
-            yield from results
-            return
-        self.stats.isolation_fallbacks += 1
-        for job in group:
-            yield job, self._solo_with_retries(job)
+                done = self._walk(group, 1)
+            except Exception:
+                self.stats.isolation_fallbacks += 1
+                done = ((job, self._solo_with_retries(job)) for job in group)
+            yield from done
 
     def _solo_with_retries(
         self, job: SimJob, log: Optional[AttemptLog] = None
@@ -499,73 +493,88 @@ class Engine:
 
         Returns the job's result, or a :class:`JobFailure` once the
         policy's attempts are exhausted (raises
-        :class:`JobExecutionError` under ``strict``). A corrupt store
-        replay additionally quarantines its entry so the retry
-        regenerates instead of replaying the same damage.
+        :class:`JobExecutionError` under ``strict``).
         """
         log = log or AttemptLog(job.job_hash, job.label())
-        policy = self.retry
-        journal = self.journal
         while True:
-            self._check_interrupt()
-            attempt = log.attempts + 1
-            if journal is not None:
-                journal.attempt_started(job.job_hash, attempt)
+            self._dispatch_gate(job)
+            if self.journal is not None:
+                self.journal.attempt_started(job.job_hash, log.attempts + 1)
             try:
-                return self._walk([job], attempt)[0][1]
+                return self._walk([job], log.attempts + 1)[0][1]
             except Exception as error:
-                self._quarantine_if_damaged(
-                    job.trace_key, f"replay failed: {error}"
-                )
-                log.record(error)
-                if journal is not None:
-                    journal.attempt_failed(
-                        job.job_hash, log.attempts,
-                        f"{type(error).__name__}: {error}",
-                    )
-                if log.attempts >= policy.attempts:
-                    return self._give_up(log)
-                self.stats.retries += 1
-                policy.sleep_before_retry(job.job_hash, log.attempts)
+                failure = self._charge(log, error)
+                if failure is not None:
+                    return failure
+                self.retry.sleep_before_retry(job.job_hash, log.attempts)
 
     def _walk(
         self, jobs: "list[SimJob]", attempt: int
     ) -> "list[tuple[SimJob, Any]]":
-        """One inline :func:`run_group` pass over ``jobs``' shared trace key.
+        """One inline :func:`~repro.engine.exec.run_recovering` pass over
+        ``jobs``' shared trace key, credited on worker ``main``.
 
-        Folds the walk's trace-plane cost into :attr:`stats`: the
-        store's accounting delta (replay, or record while walking), or
-        one generation pass without a store; every job not needing a
-        pass of its own counts as saved. Each job is credited its own
-        walk and finalize seconds (as :func:`run_group` reports them) on
-        worker ``main``. A walk that raises folds nothing.
+        The fold takes the store's accounting delta (replay, or record
+        while walking), or one generation pass without a store. It
+        takes the store delta even when the walk raises, so a
+        quarantine the walk made is counted.
         """
         store = self.trace_store
         before = store.stats.as_dict() if store is not None else None
-        results = run_group(jobs, job_trace(jobs[0], store), attempt)
-        for (job, _), seconds in zip(results, results.seconds):
-            self._ran[job.job_hash] = ("main", seconds)
-        if store is None:
-            delta = {"generated": 1}
-        else:
-            delta = _stats_delta(store.stats.as_dict(), before)
-        self.stats.absorb_trace_stats(delta)
-        self.stats.passes_saved += len(jobs) - delta["generated"]
-        return results
+        run = None
+        try:
+            run = run_recovering(jobs, store, attempt)
+        finally:
+            if store is not None:
+                delta = _stats_delta(store.stats.as_dict(), before)
+            else:
+                delta = {} if run is None else {"generated": 1}
+            done = self._credit(jobs, *walk_report(run, "main", delta))
+        return done
 
-    def _quarantine_if_damaged(self, key, reason: str) -> bool:
-        """Quarantine ``key``'s store entry if a failure left it damaged
-        (counted as a quarantine and a replay fallback), so the next
-        walk regenerates instead of replaying the damage."""
-        store = self.trace_store
-        if store is None or not store.quarantine_if_damaged(key, reason):
-            return False
-        self.stats.quarantined += 1
-        self.stats.replay_fallbacks += 1
-        return True
+    def _credit(
+        self, jobs: "list[SimJob]", results: Optional[list],
+        report: Dict[str, Any],
+    ) -> "list[tuple[SimJob, Any]]":
+        """The one fold of a walk's :func:`~repro.engine.exec.walk_report`
+        — an inline walk, a pool job or a wave bundle alike.
 
-    def _give_up(self, log: AttemptLog) -> JobFailure:
-        """Exhausted retries: surface (non-strict) or raise (strict)."""
+        Merges the walk's phase metrics and trace-store delta. When the
+        walk finished (``results`` is not None), also counts the jobs
+        that needed no generation pass of their own as saved and notes
+        each job's worker and own seconds for :meth:`run` to journal.
+        Returns the ``(job, result)`` pairs, none for a failed walk.
+        """
+        self.telemetry.registry.merge(report.pop("metrics", None))
+        worker, seconds = report.pop("worker"), report.pop("seconds")
+        self.stats.absorb_trace_stats(report)
+        if results is None:
+            return []
+        self.stats.passes_saved += len(jobs) - report.get("generated", 0)
+        for job, wall_s in zip(jobs, seconds):
+            self._ran[job.job_hash] = (worker, wall_s)
+        return list(zip(jobs, results))
+
+    def _charge(
+        self, log: AttemptLog, error: BaseException
+    ) -> Optional[JobFailure]:
+        """Charge a failed solo attempt to its job's retry budget.
+
+        The one charge step: inline solo attempts, pool exceptions,
+        crash culprits and timeout overrunners all pass through it.
+        Records the error and journals ``attempt_failed``. Once the
+        attempts are exhausted, returns the job's :class:`JobFailure`
+        (raises :class:`JobExecutionError` under ``strict``); otherwise
+        counts one retry and returns None.
+        """
+        log.record(error)
+        if self.journal is not None:
+            self.journal.attempt_failed(
+                log.job_hash, log.attempts, f"{type(error).__name__}: {error}"
+            )
+        if log.attempts < self.retry.attempts:
+            self.stats.retries += 1
+            return None
         failure = log.failure()
         self.stats.failures += 1
         if self.strict:
@@ -585,7 +594,6 @@ class Engine:
         store_dir: Optional[str] = None
         if store is not None:
             store_dir = str(store.directory)
-        logs: "dict[str, AttemptLog]" = {}
         if store_dir is not None and self._broadcast_active():
             remaining: "list[SimJob]" = []
             for key, group in _grouped_by_trace_key(ordered).items():
@@ -593,7 +601,7 @@ class Engine:
                     remaining.extend(group)
                 else:
                     yield from self._run_broadcast_wave(
-                        key, group, store_dir, remaining, logs
+                        key, group, store_dir, remaining
                     )
             ordered = sorted(
                 remaining, key=lambda j: (j.trace_key, j.job_hash)
@@ -607,7 +615,7 @@ class Engine:
         if not ordered:
             return
         supervisor = _PoolSupervisor(
-            self, ordered, min(self.jobs, len(ordered)), store_dir, logs
+            self, ordered, min(self.jobs, len(ordered)), store_dir
         )
         yield from supervisor.run()
 
@@ -628,7 +636,7 @@ class Engine:
 
     def _run_broadcast_wave(
         self, key, group: "list[SimJob]", store_dir: str,
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
+        remaining: "list[SimJob]",
     ) -> Iterable["tuple[SimJob, Any]"]:
         """One trace-key group as a broadcast wave.
 
@@ -644,15 +652,12 @@ class Engine:
         bounds memory). Jobs dispatch in ``group`` order whatever their
         bundle, so ``kill_at_job`` indices do not move.
 
-        The wave inherits the parallel ladder's failure semantics: a
-        dead or erring reader aborts the ring and consumers degrade to
-        independent replay mid-stream (bit-identical results, counted
-        in ``broadcast_fallbacks``); a consumer that reports a clean
-        error is charged a retry attempt; a consumer that dies is
-        charged only if fault injection can attribute the crash to it.
-        Jobs that did not finish in the wave carry their attempt logs
-        into ``remaining`` and finish on the pool path, where the retry
-        policy's wall-clock timeout also applies.
+        A dead or erring reader aborts the ring and consumers degrade
+        to independent replay mid-stream (bit-identical results,
+        counted in ``broadcast_fallbacks``). A bundle that reports a
+        failed walk or dies is a failed shared walk: it is isolated,
+        uncharged, and its jobs join ``remaining`` to run alone on the
+        pool path, with fresh attempt logs.
         """
         import multiprocessing
         from queue import Empty
@@ -670,7 +675,7 @@ class Engine:
         for job in group:
             # one dispatch per job even though the wave shares a walk —
             # keeps kill_at_job indices meaningful across modes
-            self._dispatch_gate()
+            self._dispatch_gate(job)
             if journal is not None:
                 journal.attempt_started(job.job_hash, 1)
         stats.broadcast_waves += 1
@@ -702,55 +707,37 @@ class Engine:
                     reader_reaped = True
                     self._reap_reader(status_queue, key, ring)
                 try:
-                    payload = out_queue.get(timeout=0.3)
+                    index, results, report, shared = out_queue.get(
+                        timeout=0.3
+                    )
                 except Empty:
-                    payload = None
-                if payload is not None:
-                    index, status, body, store_delta, shared = payload
-                    bundle, proc = outstanding.pop(index)
-                    ring.detach(index)  # its free tokens are gone with it
-                    proc.join()
-                    self.telemetry.registry.merge(shared.pop("metrics", None))
-                    worker = shared.pop("worker")
+                    # no result this poll: reap a consumer that died
+                    # without reporting. A just-exited consumer's result
+                    # may still be in the queue pipe, so give each death
+                    # a grace period for its payload to drain.
+                    now = time.monotonic()
+                    dead = [
+                        i for i, (_, proc) in outstanding.items()
+                        if proc.exitcode is not None
+                        and now - dead_since.setdefault(i, now) >= 1.0
+                    ]
+                    if not dead:
+                        continue
+                    index, done = dead[0], []
+                else:
                     stats.broadcast_chunks += shared["broadcast_chunks"]
                     stats.bytes_shared += shared["bytes_shared"]
                     stats.broadcast_fallbacks += shared["broadcast_fallbacks"]
-                    if store_delta:
-                        # the bundle's fallback store handle started at
-                        # zero, so its counters are already a delta
-                        stats.absorb_trace_stats(store_delta)
-                    if status == "ok":
-                        by_hash = {job.job_hash: job for job in bundle}
-                        stats.passes_saved += len(body) - (
-                            store_delta or {}
-                        ).get("generated", 0)
-                        for job_hash, result, seconds in body:
-                            self._ran[job_hash] = (worker, seconds)
-                            yield by_hash[job_hash], result
-                    else:
-                        for job in bundle:
-                            yield from self._charge_wave_job(
-                                job, RuntimeError(body), remaining, logs
-                            )
-                    continue
-                # no result this poll: reap consumers that died without
-                # reporting. A just-exited consumer's result may still be
-                # in the queue pipe, so give each death a grace period
-                # for its payload to drain before declaring a crash.
-                now = time.monotonic()
-                for index in list(outstanding):
-                    bundle, proc = outstanding[index]
-                    if proc.exitcode is None:
-                        continue
-                    if now - dead_since.setdefault(index, now) < 1.0:
-                        continue
-                    del outstanding[index]
-                    ring.detach(index)
-                    proc.join()
-                    for job in bundle:
-                        yield from self._crashed_wave_job(
-                            job, proc.exitcode, remaining, logs
-                        )
+                    done = self._credit(
+                        outstanding[index][0], results, report
+                    )
+                bundle, proc = outstanding.pop(index)
+                ring.detach(index)  # its free tokens are gone with it
+                proc.join()
+                if not done:  # the bundle failed or died: isolate it
+                    stats.isolation_fallbacks += 1
+                    remaining.extend(bundle)
+                yield from done
         finally:
             ring.abort()
             for proc in processes:
@@ -785,50 +772,11 @@ class Engine:
         if status == "ok":
             return
         ring.abort()
-        self._quarantine_if_damaged(key, f"broadcast reader failed: {detail}")
-
-    def _charge_wave_job(
-        self, job: SimJob, error: BaseException,
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """A wave consumer failed cleanly: charge the job's retry budget
-        and route it (with its attempt log) to the pool path."""
-        log = logs.setdefault(
-            job.job_hash, AttemptLog(job.job_hash, job.label())
-        )
-        log.record(error)
-        if self.journal is not None:
-            self.journal.attempt_failed(
-                job.job_hash, log.attempts, f"{type(error).__name__}: {error}"
-            )
-        if log.attempts >= self.retry.attempts:
-            yield job, self._give_up(log)
-            return
-        self.stats.retries += 1
-        remaining.append(job)
-
-    def _crashed_wave_job(
-        self, job: SimJob, exitcode: Optional[int],
-        remaining: "list[SimJob]", logs: "dict[str, AttemptLog]",
-    ) -> Iterable["tuple[SimJob, Any]"]:
-        """A wave consumer died without reporting. As on the pool path,
-        fault injection can say whether this job's own crash draw fired
-        (charged) or the death was collateral (requeued for free)."""
-        log = logs.setdefault(
-            job.job_hash, AttemptLog(job.job_hash, job.label())
-        )
-        plan = active_plan()
-        if plan and plan.spec("worker_crash") is not None and not plan.fires(
-            "worker_crash", job.job_hash, log.attempts + 1
+        if self.trace_store.quarantine_if_damaged(
+            key, f"broadcast reader failed: {detail}"
         ):
-            self.stats.requeued += 1
-            remaining.append(job)
-            return
-        yield from self._charge_wave_job(
-            job,
-            BrokenProcessPool(f"broadcast consumer died (exit {exitcode})"),
-            remaining, logs,
-        )
+            self.stats.quarantined += 1
+            self.stats.replay_fallbacks += 1
 
     def report(self, stream=sys.stderr) -> None:
         print(f"[{self.stats.format()}]", file=stream)
@@ -838,8 +786,10 @@ class _PoolSupervisor:
     """Drives a batch of jobs through a (respawnable) process pool.
 
     Each job is its own future, tracked with an attempt log and an
-    optional wall-clock deadline. The supervisor recovers from the three
-    parallel failure modes:
+    optional wall-clock deadline; its walk is
+    :func:`~repro.engine.exec.run_recovering`, and every failed attempt
+    is charged through :meth:`Engine._charge`. The supervisor recovers
+    from the three parallel failure modes:
 
     * a **job exception** in a worker — charged to that job's retry
       budget; the job is requeued after its deterministic backoff;
@@ -863,7 +813,6 @@ class _PoolSupervisor:
         jobs: "list[SimJob]",
         workers: int,
         store_dir: Optional[str],
-        logs: Optional["dict[str, AttemptLog]"] = None,
     ) -> None:
         self.engine = engine
         self.stats = engine.stats
@@ -871,9 +820,6 @@ class _PoolSupervisor:
         self.jobs = jobs
         self.workers = workers
         self.store_dir = store_dir
-        # attempt logs carried over from a broadcast wave, so a job
-        # requeued off a failed wave keeps its charged attempts
-        self.seed_logs = logs or {}
         self.pool: Optional[ProcessPoolExecutor] = None
         self.respawns = 0
 
@@ -905,12 +851,7 @@ class _PoolSupervisor:
 
     def run(self) -> Iterable["tuple[SimJob, Any]"]:
         queue: "deque[tuple[SimJob, AttemptLog, float]]" = deque(
-            (
-                job,
-                self.seed_logs.get(job.job_hash)
-                or AttemptLog(job.job_hash, job.label()),
-                0.0,
-            )
+            (job, AttemptLog(job.job_hash, job.label()), 0.0)
             for job in self.jobs
         )
         in_flight: "dict[Any, tuple[SimJob, AttemptLog, Optional[float]]]" = {}
@@ -936,25 +877,17 @@ class _PoolSupervisor:
                     for future in done:
                         job, log, _ = in_flight.pop(future)
                         try:
-                            _, result, delta = future.result()
+                            _, result, report = future.result()
                         except BrokenProcessPool:
                             broken = True
                             victims.append((job, log))
                             continue
                         except Exception as error:
-                            yield from self._charge(job, log, error, queue)
+                            yield from self._retry(job, log, error, queue)
                             continue
-                        self.engine.telemetry.registry.merge(
-                            delta.pop("metrics", None)
+                        yield from self.engine._credit(
+                            [job], [result], report
                         )
-                        self.engine._ran[job.job_hash] = (
-                            delta.pop("worker"), delta.pop("wall_s")
-                        )
-                        self.stats.absorb_trace_stats(delta)
-                        self.stats.passes_saved += 1 - delta.get(
-                            "generated", 0
-                        )
-                        yield job, result
                 if broken:
                     # jobs still in flight share the broken pool's fate:
                     # their futures raise the same BrokenProcessPool
@@ -982,10 +915,7 @@ class _PoolSupervisor:
             if ready_at > now:
                 queue.append((job, log, ready_at))
                 continue
-            if log.attempts == 0:
-                # first dispatch only: retries are not new dispatches,
-                # so kill_at_job indices match the serial schedule
-                self.engine._dispatch_gate()
+            self.engine._dispatch_gate(job)
             if journal is not None:
                 journal.attempt_started(job.job_hash, log.attempts + 1)
             try:
@@ -1023,20 +953,14 @@ class _PoolSupervisor:
             budget = 0.3 if budget is None else min(budget, 0.3)
         return budget
 
-    def _charge(
+    def _retry(
         self, job: SimJob, log: AttemptLog, error: BaseException, queue
     ) -> Iterable["tuple[SimJob, Any]"]:
-        """Record a failed attempt; requeue with backoff or give up."""
-        log.record(error)
-        if self.engine.journal is not None:
-            self.engine.journal.attempt_failed(
-                job.job_hash, log.attempts,
-                f"{type(error).__name__}: {error}",
-            )
-        if log.attempts >= self.policy.attempts:
-            yield job, self.engine._give_up(log)
+        """Charge a failed attempt; requeue with backoff or give up."""
+        failure = self.engine._charge(log, error)
+        if failure is not None:
+            yield job, failure
             return
-        self.stats.retries += 1
         ready_at = time.monotonic() + self.policy.backoff_for(
             job.job_hash, log.attempts
         )
@@ -1057,7 +981,7 @@ class _PoolSupervisor:
         error = BrokenProcessPool("worker process died unexpectedly")
         for job, log in victims:
             if culprits is None or job.job_hash in culprits:
-                yield from self._charge(job, log, error, queue)
+                yield from self._retry(job, log, error, queue)
             else:
                 self.stats.requeued += 1
                 queue.append((job, log, 0.0))
@@ -1071,7 +995,7 @@ class _PoolSupervisor:
         return {
             job.job_hash
             for job, log in victims
-            if plan.fires("worker_crash", job.job_hash, log.attempts + 1)
+            if plan.armed("worker_crash", job.job_hash, log.attempts + 1)
         }
 
     def _handle_timeouts(self, queue, in_flight) -> Iterable:
@@ -1095,7 +1019,7 @@ class _PoolSupervisor:
                     f"job exceeded its {self.policy.timeout:.1f}s wall-clock"
                     " budget"
                 )
-                yield from self._charge(job, log, error, queue)
+                yield from self._retry(job, log, error, queue)
             else:
                 victims.append((job, log))
         self._respawn()

@@ -27,7 +27,7 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tracestore import TraceStore
@@ -383,76 +383,83 @@ def execute_job(
     A solo job is a :func:`run_group` of one. A mid-walk
     :class:`~repro.tracestore.TraceFormatError` from a store replay (a
     corrupt or truncated entry caught by the codec's CRC) is *not*
-    handled here — callers recover by quarantining the entry and
-    retrying, at which point the store regenerates (see
-    ``execute_job_recovering``).
+    handled here; :func:`run_recovering` is the walk that recovers.
     """
     return run_group([job], job_trace(job, trace_store), attempt)[0][1]
 
 
-def execute_job_recovering(
-    job: SimJob,
+def run_recovering(
+    jobs: "list[SimJob]",
     trace_store: Optional["TraceStore"] = None,
     attempt: int = 1,
-) -> Any:
-    """:func:`execute_job` with the replay→regeneration fallback wired.
+) -> GroupRun:
+    """:func:`run_group` over ``jobs``' trace key, rerun once on damage.
 
-    When execution fails and the store entry the job replayed does not
-    verify — damage surfaces either as a
-    :class:`~repro.tracestore.TraceFormatError` from the codec CRC or
-    as the consumer choking on a garbage decoded access — the damaged
-    entry is quarantined (``quarantine/`` + reason file, accounted on
-    the store's stats) and the job is re-executed; the store then
-    records a fresh trace during the retry walk. One fallback only — a
-    failure with a verified-clean (or absent) entry is the job's own
-    and propagates to the caller's retry ladder.
+    The walk of every inline group, inline solo job and pool job: the
+    first rung of the engine's recovery ladder. When the walk fails and
+    the store entry it opened does not verify — damage surfaces either
+    as a :class:`~repro.tracestore.TraceFormatError` from the codec CRC
+    or as a consumer choking on a garbage decoded access — the entry is
+    quarantined (``quarantine/`` + reason file) and the walk reruns
+    once, uncharged, recording a fresh trace. A racing recoverer that
+    already replaced the entry this walk read licenses the rerun too;
+    evidence of older damage does not. The rerun is counted in the
+    store's ``replay_fallbacks``. Any other failure is the jobs' own
+    and propagates to the caller's ladder.
     """
-    return _run_recovering(job, trace_store, attempt)[0][1]
-
-
-def _run_recovering(job: SimJob, trace_store: Optional["TraceStore"],
-                    attempt: int) -> GroupRun:
-    if trace_store is None:
-        return run_group([job], job_trace(job, None), attempt)
-    read = trace_store.entry_identity(job.trace_key)
+    key = jobs[0].trace_key
+    read = None if trace_store is None else trace_store.entry_identity(key)
     try:
-        return run_group([job], job_trace(job, trace_store), attempt)
+        return run_group(jobs, job_trace(jobs[0], trace_store), attempt)
     except Exception as error:
+        if trace_store is None:
+            raise
         damaged = trace_store.quarantine_if_damaged(
-            job.trace_key, f"replay failed: {error}"
+            key, f"replay failed: {error}"
         )
-        # a racing recoverer may have already quarantined (and cleanly
-        # re-recorded) the damaged entry this walk read: a replaced
-        # entry licenses the retry too, evidence of older damage does not
-        replaced = read is not None and (
-            trace_store.entry_identity(job.trace_key) != read
-        )
+        replaced = read is not None and trace_store.entry_identity(key) != read
         if not damaged and not replaced:
             raise
         trace_store.stats.replay_fallbacks += 1
-        return run_group([job], job_trace(job, trace_store), attempt)
+        return run_group(jobs, job_trace(jobs[0], trace_store), attempt)
+
+
+def walk_report(
+    run: Optional[GroupRun],
+    worker: str,
+    delta: Dict[str, int],
+    phase_before: Optional[dict] = None,
+) -> "tuple[Optional[list], Dict[str, Any]]":
+    """A walk as the engine's one fold (``Engine._credit``) takes it.
+
+    Returns ``(results, report)``: the results in the walk's job order,
+    or None when ``run`` is None (a walk that failed), and the report —
+    the walk's trace-store ``delta`` plus the ``worker`` that walked,
+    each job's own ``seconds`` in job order and, given
+    ``phase_before``, the phase-timer delta since then as ``metrics``.
+    """
+    report = dict(delta, worker=worker,
+                  seconds=[] if run is None else run.seconds)
+    if phase_before is not None:
+        report["metrics"] = process_registry().delta_since(phase_before)
+    if run is None:
+        return None, report
+    return [result for _, result in run], report
 
 
 def execute_job_for_pool(
     job: SimJob,
     trace_store_dir: Optional[Union[str, Path]] = None,
     attempt: int = 1,
-) -> Tuple[str, Any, Dict[str, int]]:
-    """Worker-side entry: result plus the trace-plane accounting delta.
+) -> "tuple[str, Any, Dict[str, Any]]":
+    """Worker-side entry: one :func:`run_recovering` attempt of ``job``.
 
     Opens a per-call :class:`TraceStore` handle when a directory is
-    given, so its stats are exactly this job's replay/recording work;
-    the parent engine folds the returned dict into its
-    :class:`~repro.engine.engine.EngineStats`. Store-replay corruption
-    is recovered in-worker (quarantine + regenerate, reported through
-    the stats delta); other failures propagate to the parent's retry
-    supervisor.
-
-    The dict also carries the job's ``"worker"`` (``worker-<pid>``) and
-    ``"wall_s"`` (its walk and finalize seconds, as :func:`run_group`
-    credits them) for the run journal and, with telemetry on, the
-    worker's phase-timer delta under ``"metrics"``; the parent pops all
-    three before folding the trace counters.
+    given, so its stats are exactly this job's replay/recording work.
+    Returns ``(job_hash, result, report)``, ``report`` being the
+    :func:`walk_report` the parent engine folds (worker
+    ``worker-<pid>``). Failures other than the recovered store damage
+    propagate to the parent's retry supervisor.
     """
     store = None
     if trace_store_dir is not None:
@@ -460,17 +467,12 @@ def execute_job_for_pool(
 
         store = TraceStore(trace_store_dir)
     phase_before = _phase_snapshot()
-    run = _run_recovering(job, store, attempt)
-    result, wall_s = run[0][1], run.seconds[0]
-    if store is not None:
-        stats = store.stats.as_dict()
-    else:
-        stats = {"generated": 1}
-    stats["worker"] = f"worker-{os.getpid()}"
-    stats["wall_s"] = wall_s
-    if phase_before is not None:
-        stats["metrics"] = process_registry().delta_since(phase_before)
-    return job.job_hash, result, stats
+    run = run_recovering([job], store, attempt)
+    delta = store.stats.as_dict() if store is not None else {"generated": 1}
+    results, report = walk_report(
+        run, f"worker-{os.getpid()}", delta, phase_before
+    )
+    return job.job_hash, results[0], report
 
 
 def _phase_snapshot() -> Optional[dict]:
@@ -497,17 +499,12 @@ def execute_jobs_broadcast(
     fails its CRC the cursor degrades to an independent replay
     mid-stream; results are bit-identical either way.
 
-    Reports ``(index, status, payload, store_stats, broadcast_stats)``
-    on ``out_queue`` — ``status`` is ``"ok"`` (payload = a list of
-    ``(job_hash, result, seconds)`` triples, ``seconds`` being the job's
-    own time as :func:`run_group` credits it) or ``"error"`` (payload =
-    the error description; the parent charges each bundled job's retry
-    budget and requeues them through the pool path). Injected ``worker_crash``
-    draws kill the process outright, exactly as they would a pool
-    worker. The broadcast-accounting dict also carries the bundle's
-    ``"worker"`` (``bundle-<index>``) for the run journal and, with
-    telemetry on, its phase-timer delta under ``"metrics"``; the parent
-    pops them before folding the counters.
+    Reports ``(index, results, report, broadcast_stats)`` on
+    ``out_queue``: the bundle's :func:`walk_report` (worker
+    ``bundle-<index>``; ``results`` is None when the walk failed, and
+    the parent then isolates the bundle's jobs) and the cursor's
+    accounting. Injected ``worker_crash`` draws kill the process
+    outright, exactly as they would a pool worker.
     """
     from repro.tracestore.broadcast import ChunkCursor, replay_fallback
 
@@ -515,28 +512,14 @@ def execute_jobs_broadcast(
     fallback = replay_fallback(str(trace_store_dir), bundle[0].trace_key)
     cursor = ChunkCursor(ring_consumer, fallback)
     phase_before = _phase_snapshot()
-
-    def accounting() -> dict:
-        shared = cursor.accounting()
-        shared["worker"] = f"bundle-{index}"
-        if phase_before is not None:
-            shared["metrics"] = process_registry().delta_since(phase_before)
-        return shared
-
     try:
-        results = run_group(bundle, cursor)
-    except BaseException as error:  # noqa: BLE001 - reported, not silenced
-        out_queue.put((
-            index, "error", f"{type(error).__name__}: {error}",
-            fallback.stats, accounting(),
-        ))
-        ring_consumer.close()
-        return
+        run = run_group(bundle, cursor)
+    except Exception:  # reported as a failed walk: the parent isolates it
+        run = None
     out_queue.put((
-        index, "ok",
-        [(job.job_hash, result, seconds)
-         for (job, result), seconds in zip(results, results.seconds)],
-        fallback.stats, accounting(),
+        index,
+        *walk_report(run, f"bundle-{index}", fallback.stats, phase_before),
+        cursor.accounting(),
     ))
     ring_consumer.close()
 

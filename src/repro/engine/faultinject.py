@@ -131,6 +131,14 @@ class FaultPlan:
             return False
         return _unit_draw(kind, site, attempt, self.seed) < spec.rate
 
+    def armed(self, kind: str, site: str, attempt: int) -> bool:
+        """Whether an execution-side ``kind`` fires at ``site`` on
+        ``attempt``: :meth:`fires`, unless ``@max_attempt`` caps it."""
+        if not self.fires(kind, site, attempt):
+            return False
+        cap = self.specs[kind].param("max_attempt")
+        return not cap or attempt <= int(cap)
+
     @staticmethod
     def parse(text: str) -> "FaultPlan":
         """Parse a spec string (raises ``ValueError`` on a bad clause)."""
@@ -205,22 +213,15 @@ def maybe_fail_job(job_hash: str, attempt: int) -> None:
     plan = active_plan()
     if not plan:
         return
-
-    def armed(kind: str) -> bool:
-        if not plan.fires(kind, job_hash, attempt):
-            return False
-        cap = plan.spec(kind).param("max_attempt")
-        return not cap or attempt <= int(cap)
-
-    if armed("stall"):
+    if plan.armed("stall", job_hash, attempt):
         time.sleep(float(plan.spec("stall").param("secs", "30")))
-    if armed("worker_crash"):
+    if plan.armed("worker_crash", job_hash, attempt):
         if _in_pool_worker():
             os._exit(CRASH_EXIT_CODE)
         raise InjectedCrash(
             f"injected worker crash (job {job_hash[:12]}, attempt {attempt})"
         )
-    if armed("job_fail"):
+    if plan.armed("job_fail", job_hash, attempt):
         raise InjectedFault(
             f"injected job failure (job {job_hash[:12]}, attempt {attempt})"
         )

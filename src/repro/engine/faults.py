@@ -56,18 +56,16 @@ class RetryPolicy:
         backoff: base sleep in seconds before attempt ``n+1``; the
             actual sleep is ``backoff * 2**(n-1)`` scaled by a
             deterministic jitter factor in ``[0.5, 1.5)`` derived from
-            ``(job key, attempt, seed)`` — exponential, but identical
-            across reruns of the same sweep.
+            ``(job key, attempt)`` — exponential, but identical across
+            reruns of the same sweep.
         timeout: per-job wall-clock budget in seconds (parallel mode
             only — the supervisor kills and respawns the pool when an
             in-flight job exceeds it), or None for no limit.
-        seed: jitter seed, folded into every backoff draw.
     """
 
     attempts: int = 3
     backoff: float = 0.05
     timeout: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
@@ -81,18 +79,13 @@ class RetryPolicy:
         """Seconds to sleep after failed attempt ``attempt`` (1-based)."""
         if self.backoff == 0:
             return 0.0
-        jitter = 0.5 + _unit_draw("backoff", key, attempt, self.seed)
+        jitter = 0.5 + _unit_draw("backoff", key, attempt)
         return self.backoff * (2 ** (attempt - 1)) * jitter
 
     def sleep_before_retry(self, key: str, attempt: int) -> None:
         delay = self.backoff_for(key, attempt)
         if delay > 0:
             time.sleep(delay)
-
-    @staticmethod
-    def none() -> "RetryPolicy":
-        """A single-attempt policy (the pre-fault-plane behaviour)."""
-        return RetryPolicy(attempts=1, backoff=0.0)
 
 
 @dataclass(frozen=True)

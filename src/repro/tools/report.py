@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engine.engine import FAULT_COUNTERS
 from repro.engine.journal import (
     JOURNAL_NAME,
     JournalError,
@@ -39,14 +40,6 @@ from repro.engine.journal import (
     runs_root,
 )
 from repro.telemetry import METRICS_NAME, PHASES
-
-#: fault counters rendered in the faults section, display order (matches
-#: the ``EngineStats.degraded`` contract)
-FAULT_COUNTERS = (
-    "retries", "requeued", "timeouts", "pool_respawns", "quarantined",
-    "cache_corrupt", "replay_fallbacks", "isolation_fallbacks",
-    "serial_fallbacks", "broadcast_fallbacks", "failures",
-)
 
 SLOWEST = 5
 TRACE_KEY = ("workload", "length", "seed")

@@ -28,7 +28,7 @@ from repro.engine import (
     SimJob,
 )
 from repro.engine import exec as exec_module
-from repro.engine.exec import execute_job_recovering
+from repro.engine.exec import run_recovering
 from repro.engine.faultinject import (
     ENV_VAR,
     FaultPlan,
@@ -89,9 +89,9 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0.0)
 
     def test_backoff_is_exponential_with_deterministic_jitter(self):
-        policy = RetryPolicy(attempts=5, backoff=0.1, seed=7)
+        policy = RetryPolicy(attempts=5, backoff=0.1)
         delays = [policy.backoff_for("jobkey", n) for n in (1, 2, 3)]
-        # same key, same attempt, same seed -> identical delay
+        # same key, same attempt -> identical delay
         assert delays == [policy.backoff_for("jobkey", n) for n in (1, 2, 3)]
         # exponential envelope with jitter in [0.5, 1.5)
         for n, delay in enumerate(delays, start=1):
@@ -101,7 +101,7 @@ class TestRetryPolicy:
         assert policy.backoff_for("other", 1) != delays[0]
 
     def test_none_policy_is_single_attempt(self):
-        policy = RetryPolicy.none()
+        policy = RetryPolicy(attempts=1, backoff=0.0)
         assert policy.attempts == 1
         assert policy.backoff_for("k", 1) == 0.0
 
@@ -380,7 +380,7 @@ class TestReplayFallbackLicense:
 
         monkeypatch.setattr(exec_module, "run_group", racing)
         store = TraceStore(store_dir)
-        assert execute_job_recovering(job, store) == reference[job.job_hash]
+        assert run_recovering([job], store)[0][1] == reference[job.job_hash]
         assert raced
         assert store.stats.replay_fallbacks == 1
         assert store.stats.quarantined == 0  # the racer moved it

@@ -322,7 +322,7 @@ class TestJournalRunRecord:
     def test_group_jobs_journal_their_own_walls(self, tmp_path, monkeypatch):
         # one serial walk feeds a cheap and an expensive consumer: each
         # is credited its own time, not the group's
-        from repro.engine import engine as engine_module
+        from repro.engine import exec as exec_module
 
         graph = JobGraph()
         jobs = [
@@ -331,7 +331,7 @@ class TestJournalRunRecord:
             for spec in (None, PrefetcherSpec.make("stems"))
         ]
         walks = []
-        real = engine_module.run_group
+        real = exec_module.run_group
 
         def timed(group, accesses, attempt=1):
             start = time.perf_counter()
@@ -340,7 +340,7 @@ class TestJournalRunRecord:
             finally:
                 walks.append(time.perf_counter() - start)
 
-        monkeypatch.setattr(engine_module, "run_group", timed)
+        monkeypatch.setattr(exec_module, "run_group", timed)
         journal = RunJournal.create(tmp_path / "runs", header={"argv": []})
         Engine(jobs=1, journal=journal).run(graph)
         journal.finish("clean")
