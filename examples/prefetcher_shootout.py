@@ -15,13 +15,11 @@ from repro import (
     SMSPrefetcher,
     STeMSPrefetcher,
     SimulationDriver,
-    StridePrefetcher,
     SystemConfig,
     TMSPrefetcher,
     WORKLOAD_NAMES,
     make_workload,
 )
-from repro.prefetch.composite import CompositePrefetcher
 from repro.sim import TimingModel
 
 
@@ -40,7 +38,7 @@ def main() -> None:
     base_misses = max(1, baseline.uncovered)
     stride_model = TimingModel(system.timing, measure_from=warm)
     stride_run = SimulationDriver(
-        system, StridePrefetcher(), service_consumer=stride_model
+        system, None, service_consumer=stride_model, stride=True
     ).run(trace)
     stride_timing = stride_model.finalize()
 
@@ -61,7 +59,7 @@ def main() -> None:
         coverage_run = SimulationDriver(system, factory()).run(trace)
         model = TimingModel(system.timing, measure_from=warm)
         SimulationDriver(
-            system, CompositePrefetcher(factory()), service_consumer=model
+            system, factory(), service_consumer=model, stride=True
         ).run(trace)
         timing = model.finalize()
         print(f"{name:<8} {coverage_run.covered / base_misses:>9.1%} "

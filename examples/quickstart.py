@@ -20,22 +20,24 @@ import sys
 from repro import (
     STeMSPrefetcher,
     SimulationDriver,
-    StridePrefetcher,
     SystemConfig,
     make_workload,
 )
-from repro.prefetch.composite import CompositePrefetcher
 from repro.sim.timing import TimingModel
 from repro.trace import summarize_trace
 from repro.workloads.registry import stream_workload
 
 
 def timed_run(system, prefetcher, source, measure_from):
-    """One streaming coverage+timing pass; returns the TimingResult."""
+    """One streaming coverage+timing pass of the Table-1 stride engine
+    plus ``prefetcher`` (or the stride engine alone); returns the
+    TimingResult."""
     model = TimingModel(
         system.timing, workload=source.name, measure_from=measure_from
     )
-    SimulationDriver(system, prefetcher, service_consumer=model).run(source)
+    SimulationDriver(
+        system, prefetcher, service_consumer=model, stride=True
+    ).run(source)
     return model.finalize()
 
 
@@ -61,10 +63,8 @@ def main() -> None:
     # each a single streaming pass over a fresh lazy source
     warm = int(length * 0.4)
     source = stream_workload("db2", length, seed=42)
-    stride_t = timed_run(system, StridePrefetcher(), source, warm)
-    full_t = timed_run(
-        system, CompositePrefetcher(STeMSPrefetcher()), source, warm
-    )
+    stride_t = timed_run(system, None, source, warm)
+    full_t = timed_run(system, STeMSPrefetcher(), source, warm)
     print(f"speedup over stride baseline:    "
           f"{full_t.speedup_over(stride_t) - 1:+.1%}")
 

@@ -472,9 +472,14 @@ class Engine:
         """Each trace key's group in one shared :meth:`_walk`. A group
         whose walk still fails after the free rerun on damage is
         isolated: none of its jobs is charged, and each runs alone
-        under the retry policy, so one bad job cannot sink its peers."""
+        under the retry policy, so one bad job cannot sink its peers.
+        A key with one job shares nothing: it runs straight on the solo
+        ladder, as a pool job would."""
         journal = self.journal
         for group in _grouped_by_trace_key(pending).values():
+            if len(group) == 1:
+                yield group[0], self._solo_with_retries(group[0])
+                continue
             for job in group:
                 self._dispatch_gate(job)
                 if journal is not None:
@@ -738,6 +743,13 @@ class Engine:
                     stats.isolation_fallbacks += 1
                     remaining.extend(bundle)
                 yield from done
+            if not reader_reaped:
+                # every bundle is done; the reader still finishes its
+                # pass (a cold key's recording) and reports it. Its one
+                # small status message fits the queue's pipe, so it can
+                # exit before the message is drained.
+                reader.join()
+                self._reap_reader(status_queue, key, ring)
         finally:
             ring.abort()
             for proc in processes:

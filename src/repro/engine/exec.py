@@ -49,15 +49,13 @@ from repro.engine.job import (
 )
 from repro.kernels.prepass import iter_trace_chunks
 from repro.prefetch.base import Prefetcher
-from repro.prefetch.composite import CompositePrefetcher
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.prefetch.hybrid import NaiveHybridPrefetcher
 from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.sms.sms import SMSPrefetcher
 from repro.prefetch.stems.stems import STeMSPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
-from repro.sim.driver import BaselineReplay, SimulationDriver
+from repro.sim.driver import BaselineReplay, SimulationDriver, StrideStream
 from repro.sim.timing import TimingModel
 from repro.telemetry import (
     PHASE_FINALIZE, PHASE_WALK, phases_active, process_registry,
@@ -86,49 +84,45 @@ def job_trace(
 def build_prefetcher(
     spec: Optional[PrefetcherSpec], workload: str
 ) -> Optional[Prefetcher]:
-    """Construct the predictor a spec describes for ``workload``.
+    """Construct the main predictor a spec describes for ``workload``.
 
     Scientific workloads get the deeper lookahead the paper argues for in
     §4.3; ``spec.overrides`` are applied to the main predictor's config
-    via ``dataclasses.replace`` (sensitivity sweeps).
+    via ``dataclasses.replace`` (sensitivity sweeps). The Table-1 stride
+    engine is never built here: a walk that :func:`carries_stride` reads
+    a :class:`~repro.sim.driver.StrideStream`, so a ``stride`` spec has
+    no main predictor (None).
     """
     if spec is None:
         return None
     scientific = WORKLOAD_CATEGORIES.get(workload) == "scientific"
     overrides = dict(spec.overrides)
     kind = spec.kind
-    main: Optional[Prefetcher]
     if overrides and kind not in CONFIGURABLE_PREFETCHER_KINDS:
         # PrefetcherSpec rejects this at construction; re-check here so a
         # hand-built spec can't silently run an unconfigured predictor
         raise ValueError(
             f"prefetcher kind {kind!r} does not take config overrides"
         )
-    if kind == "none":
+    if kind in ("none", "stride"):
         return None
-    if kind == "stride":
-        return StridePrefetcher()
     if kind == "markov":
-        main = MarkovPrefetcher()
-    elif kind == "ghb":
-        main = GHBPrefetcher()
-    elif kind == "tms":
+        return MarkovPrefetcher()
+    if kind == "ghb":
+        return GHBPrefetcher()
+    if kind == "tms":
         base = TMSConfig(lookahead=12) if scientific else TMSConfig()
-        main = TMSPrefetcher(replace(base, **overrides))
-    elif kind == "sms":
-        main = SMSPrefetcher(replace(SMSConfig(), **overrides))
-    elif kind == "stems":
+        return TMSPrefetcher(replace(base, **overrides))
+    if kind == "sms":
+        return SMSPrefetcher(replace(SMSConfig(), **overrides))
+    if kind == "stems":
         base = STeMSConfig.scientific() if scientific else STeMSConfig()
-        main = STeMSPrefetcher(replace(base, **overrides))
-    elif kind == "hybrid":
-        main = NaiveHybridPrefetcher(
+        return STeMSPrefetcher(replace(base, **overrides))
+    if kind == "hybrid":
+        return NaiveHybridPrefetcher(
             TMSConfig(lookahead=12) if scientific else TMSConfig(), SMSConfig()
         )
-    else:
-        raise ValueError(f"unknown prefetcher kind {kind!r}")
-    if spec.with_stride:
-        return CompositePrefetcher(main)
-    return main
+    raise ValueError(f"unknown prefetcher kind {kind!r}")
 
 
 def timing_model_for_job(job: SimJob) -> TimingModel:
@@ -178,8 +172,9 @@ class _DriverConsumer:
     __slots__ = ("_walk", "_model", "update_block")
 
     def __init__(self, job: SimJob, driver: SimulationDriver,
-                 replay: Optional[BaselineReplay] = None) -> None:
-        self._walk = driver.start(job.workload, replay)
+                 replay: Optional[BaselineReplay] = None,
+                 stream: Optional[StrideStream] = None) -> None:
+        self._walk = driver.start(job.workload, replay, stream)
         self._model = driver.service_consumer
         self.update_block = self._walk.step_chunk
 
@@ -200,20 +195,32 @@ def observes_baseline(job: SimJob) -> bool:
     return job.kind in _ANALYSIS_KINDS or spec is None or spec.kind == "none"
 
 
+def carries_stride(job: SimJob) -> bool:
+    """Whether ``job``'s walk carries the Table-1 stride engine — a
+    ``stride`` walk (no main predictor) or any ``with_stride`` one — and
+    so reads a :class:`~repro.sim.driver.StrideStream`. A walk that
+    :func:`observes_baseline` never does."""
+    spec = job.prefetcher
+    return not observes_baseline(job) and (
+        spec.kind == "stride" or spec.with_stride
+    )
+
+
 #: relative cost of a job by (kind, prefetcher kind, with_stride): its
 #: mean journaled ``wall_s`` (ms) in a ``--jobs 1`` run of ``all
 #: --extended --small --length 50000 --seed 5`` over apache, db2, qry2
-#: and em3d (2-core host); only the ratios matter
+#: and em3d (2-core host), a stride-carrying job's with its even share
+#: of its key's stride stream; only the ratios matter
 JOB_COSTS = {
-    (KIND_COVERAGE, "none", False): 120, (KIND_JOINT, "none", False): 120,
-    (KIND_CORRELATION, "none", False): 120,
-    (KIND_REPETITION, "none", False): 400,
-    (KIND_COVERAGE, "stride", False): 280, (KIND_COVERAGE, "ghb", False): 260,
-    (KIND_COVERAGE, "markov", False): 290, (KIND_COVERAGE, "tms", False): 380,
-    (KIND_COVERAGE, "sms", False): 520, (KIND_COVERAGE, "hybrid", False): 940,
-    (KIND_COVERAGE, "stems", False): 950, (KIND_TIMING, "stride", False): 370,
-    (KIND_TIMING, "tms", True): 670, (KIND_TIMING, "sms", True): 820,
-    (KIND_TIMING, "stems", True): 1240,
+    (KIND_COVERAGE, "none", False): 70, (KIND_JOINT, "none", False): 70,
+    (KIND_CORRELATION, "none", False): 70,
+    (KIND_REPETITION, "none", False): 200,
+    (KIND_COVERAGE, "stride", False): 80, (KIND_COVERAGE, "ghb", False): 120,
+    (KIND_COVERAGE, "markov", False): 110, (KIND_COVERAGE, "tms", False): 180,
+    (KIND_COVERAGE, "sms", False): 280, (KIND_COVERAGE, "hybrid", False): 420,
+    (KIND_COVERAGE, "stems", False): 570, (KIND_TIMING, "stride", False): 150,
+    (KIND_TIMING, "tms", True): 280, (KIND_TIMING, "sms", True): 400,
+    (KIND_TIMING, "stems", True): 680,
 }
 DEFAULT_JOB_COST = 500
 
@@ -250,7 +257,8 @@ def deal_bundles(group: "list[SimJob]", bundles: int) -> "list[list[SimJob]]":
     return dealt
 
 
-def job_consumer(job: SimJob, replay: Optional[BaselineReplay] = None) -> Any:
+def job_consumer(job: SimJob, replay: Optional[BaselineReplay] = None,
+                 stream: Optional[StrideStream] = None) -> Any:
     """An ``update_block(chunk)`` / ``finalize()`` consumer executing ``job``.
 
     Analysis jobs are :class:`~repro.analysis.base.StreamingAnalysis`
@@ -259,12 +267,16 @@ def job_consumer(job: SimJob, replay: Optional[BaselineReplay] = None) -> Any:
     :func:`observes_baseline` joins it as a member instead of walking a
     private hierarchy; the caller then steps ``replay`` once per chunk
     for all its members and never the member's own ``update_block``.
+    With ``stream``, a job that :func:`carries_stride` reads it instead
+    of stepping a private one; the caller steps ``stream`` before the
+    job's ``update_block`` in every chunk.
     """
     if job.kind in (KIND_COVERAGE, KIND_TIMING):
         prefetcher = build_prefetcher(job.prefetcher, job.workload)
         model = timing_model_for_job(job) if job.kind == KIND_TIMING else None
-        driver = SimulationDriver(job.system, prefetcher, model)
-        return _DriverConsumer(job, driver, replay)
+        driver = SimulationDriver(job.system, prefetcher, model,
+                                  stride=carries_stride(job))
+        return _DriverConsumer(job, driver, replay, stream)
     analysis = analysis_for_job(job)
     if replay is not None:
         analysis.attach(replay)
@@ -298,11 +310,14 @@ def run_group(
             fault-injection draw.
 
     Jobs that :func:`observes_baseline` share one
-    :class:`~repro.sim.driver.BaselineReplay` per ``SystemConfig``;
-    every other job walks its own consumer. A job is credited its own
-    walker's time (one ``perf_counter`` pair per chunk; a shared
-    replay's time, table flush included, split evenly across its
-    members) plus its own ``finalize``.
+    :class:`~repro.sim.driver.BaselineReplay` per ``SystemConfig``, and
+    jobs that :func:`carries_stride` one
+    :class:`~repro.sim.driver.StrideStream` per ``SystemConfig``, stepped
+    before its members in every chunk; every other walk is the job's
+    own consumer. A job is credited its own walker's time (one
+    ``perf_counter`` pair per chunk) plus an even share of each shared
+    stage it belongs to (the replay's table flush included), plus its
+    own ``finalize``.
 
     Returns:
         A :class:`GroupRun`: ``(job, result)`` pairs in ``jobs`` order,
@@ -314,21 +329,33 @@ def run_group(
     for job in jobs:
         maybe_fail_job(job.job_hash, attempt)
     # a walker is (chunk update, positions of the jobs it serves, its
-    # replay or None); one shared replay walker per SystemConfig
-    walkers: "list[tuple[Any, list[int], Optional[BaselineReplay]]]" = []
-    shared: "dict[Any, tuple[Any, list[int], BaselineReplay]]" = {}
+    # shared stage or None); one walker per shared stage and SystemConfig
+    walkers: "list[tuple[Any, list[int], Any]]" = []
+    shared: "dict[tuple[type, Any], tuple[Any, list[int], Any]]" = {}
+
+    def member(stage_type: type, job: SimJob, position: int) -> Any:
+        """The group's ``stage_type`` stage for ``job.system``, with
+        ``job`` among the members its time is split across."""
+        key = (stage_type, job.system)
+        if key not in shared:
+            stage = stage_type(job.system)
+            walkers.append((stage.step_chunk, [], stage))
+            shared[key] = walkers[-1]
+        shared[key][1].append(position)
+        return shared[key][2]
+
     consumers = []
     for position, job in enumerate(jobs):
-        if not observes_baseline(job):
-            consumers.append(job_consumer(job))
-            walkers.append((consumers[-1].update_block, [position], None))
+        if observes_baseline(job):
+            replay = member(BaselineReplay, job, position)
+            consumers.append(job_consumer(job, replay))
             continue
-        if job.system not in shared:
-            replay = BaselineReplay(job.system)
-            walkers.append((replay.step_chunk, [], replay))
-            shared[job.system] = walkers[-1]
-        shared[job.system][1].append(position)
-        consumers.append(job_consumer(job, shared[job.system][2]))
+        stream = (
+            member(StrideStream, job, position) if carries_stride(job)
+            else None
+        )
+        consumers.append(job_consumer(job, stream=stream))
+        walkers.append((consumers[-1].update_block, [position], None))
     spent = [0.0] * len(walkers)
     clock = time.perf_counter
     # ``walk_step`` times all walkers per chunk (decode is timed inside
@@ -344,13 +371,13 @@ def run_group(
             timer.add(PHASE_WALK, clock() - chunk_start)
     finalize_start = clock()
     seconds = [0.0] * len(jobs)
-    for index, (_, positions, replay) in enumerate(walkers):
-        if replay is not None:
+    for index, (_, positions, stage) in enumerate(walkers):
+        if stage is not None:
             start = clock()
-            replay.finish()  # one table flush for every member
+            stage.finish()  # e.g. one table flush for every member
             spent[index] += clock() - start
         for position in positions:
-            seconds[position] = spent[index] / len(positions)
+            seconds[position] += spent[index] / len(positions)
     pairs = []
     for position, (job, consumer) in enumerate(zip(jobs, consumers)):
         start = clock()

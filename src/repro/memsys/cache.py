@@ -8,14 +8,18 @@ generation's blocks leaves the L1 (§2.4).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheConfig
 
 
 class Cache:
     """LRU set-associative cache keyed by block number.
+
+    Each set is a plain ``dict`` in LRU order (least recently used
+    first): a touch pops the block and inserts it again, an eviction
+    pops the first key. :class:`~repro.memsys.hierarchy.Hierarchy`
+    indexes the same dicts itself; this class is its reference.
 
     Each resident block carries a ``prefetched`` flag so that prefetchers
     installing straight into the cache (SMS) can account useless fetches:
@@ -27,9 +31,9 @@ class Cache:
         self.config = config
         self._num_sets = config.num_sets
         self._assoc = config.associativity
-        # one OrderedDict per set: block -> prefetched flag
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self._num_sets)
+        # one dict per set: block -> prefetched flag
+        self._sets: List[Dict[int, bool]] = [
+            {} for _ in range(self._num_sets)
         ]
         self.unused_prefetch_evictions = 0
 
@@ -57,28 +61,26 @@ class Cache:
         ways = self._sets[block % self._num_sets]
         if block not in ways:
             return False, False
-        was_prefetched = ways[block]
-        ways[block] = False  # demand reference: no longer a useless prefetch
-        if touch:
-            ways.move_to_end(block)
+        # demand reference: no longer a useless prefetch
+        was_prefetched = ways.pop(block) if touch else ways[block]
+        ways[block] = False
         return True, was_prefetched
 
     def probe_fill(self, block: int) -> bool:
         """Demand probe that fills on miss; returns whether it hit.
 
-        One set index for the lookup + fill pair the hierarchy's L2 sees
-        on every L1 miss (the L2 victim is never reported — only L1
-        evictions terminate spatial generations). Equivalent to
-        ``lookup(block) or (fill(block) and False)`` with the demand
-        flag-clear semantics of :meth:`demand_lookup`.
+        One set index for the lookup + fill pair (the L2 victim is never
+        reported — only L1 evictions terminate spatial generations).
+        Equivalent to ``lookup(block) or (fill(block) and False)`` with
+        the demand flag-clear semantics of :meth:`demand_lookup`.
         """
         ways = self._sets[block % self._num_sets]
         if block in ways:
+            del ways[block]
             ways[block] = False  # demand reference clears the flag
-            ways.move_to_end(block)
             return True
         if len(ways) >= self._assoc:
-            ways.popitem(last=False)
+            del ways[next(iter(ways))]
         ways[block] = False
         return False
 
@@ -86,15 +88,14 @@ class Cache:
         """Install ``block``; returns the evicted block, or None."""
         ways = self._sets[block % self._num_sets]
         if block in ways:
-            ways.move_to_end(block)
-            if not prefetched:
-                ways[block] = False
+            flag = ways.pop(block)
+            ways[block] = flag if prefetched else False
             return None
         if len(ways) >= self._assoc:
-            victim, victim_unused = ways.popitem(last=False)
-            ways[block] = prefetched
-            if victim_unused:
+            victim = next(iter(ways))
+            if ways.pop(victim):
                 self.unused_prefetch_evictions += 1
+            ways[block] = prefetched
             return victim
         ways[block] = prefetched
         return None

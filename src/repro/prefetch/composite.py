@@ -1,41 +1,39 @@
 """Composite prefetcher: two engines side by side.
 
-The paper's baseline system includes a stride prefetcher (Table 1), and
-the TMS/SMS/STeMS configurations add their predictor on top of it. This
-wrapper forwards every event to both engines and merges their requests,
-which is what the Fig. 10 performance comparison requires. The naive
-hybrid (:mod:`repro.prefetch.hybrid`) pairs TMS with SMS the same way.
+The naive hybrid (:mod:`repro.prefetch.hybrid`) pairs TMS with SMS this
+way: every event reaches both engines and their requests merge. The
+Table-1 stride engine that the Fig. 10 system adds to every predictor is
+not paired here; a walk carrying it reads a shared
+:class:`~repro.sim.driver.StrideStream` instead.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.common.config import StrideConfig
 from repro.prefetch.base import AccessEvent, Prefetcher, Request
-from repro.prefetch.stride import StridePrefetcher
 
 
 class CompositePrefetcher(Prefetcher):
-    """Stride engine + one main predictor, as in the paper's system model.
+    """Two engines, ``first`` and ``second``, as one predictor.
 
     Every hook reaches ``first`` then ``second``, and their requests come
     back in that order; an engine that ignores a hook inherits the base
     no-op.
     """
 
-    def __init__(
-        self,
-        main: Prefetcher,
-        stride_config: StrideConfig = StrideConfig(),
-    ) -> None:
-        self._pair(StridePrefetcher(stride_config), main)
-        self.name = f"stride+{main.name}"
+    def __init__(self, first: Prefetcher, second: Prefetcher) -> None:
+        self._pair(first, second)
 
     def _pair(self, first: Prefetcher, second: Prefetcher) -> None:
+        # also the entry of subclasses that build their engines first
         super().__init__()
         self.first = first
         self.second = second
+
+    @property
+    def name(self) -> str:
+        return f"{self.first.name}+{self.second.name}"
 
     def on_access(self, event: AccessEvent) -> None:
         self.first.on_access(event)

@@ -27,19 +27,29 @@ walk's one implementation: it computes the stream once and hands it to
 each of its members in lockstep. Members only observe; a walk whose
 prefetcher installs into the L1 or streams into an SVB changes its
 hierarchy, so it keeps a private one.
+
+The Table-1 stride engine that the Fig. 10 baseline system carries
+trains on each access's PC and block alone, so its requests are the
+same in every walk of a trace: :class:`StrideStream` computes them once
+per chunk for every walk that carries the engine, and each such walk
+issues them before its main predictor's requests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Protocol
+from itertools import repeat
+from typing import Callable, List, Optional, Protocol, Sequence
 
 from repro.common.config import SystemConfig
 from repro.kernels.prepass import AccessChunk, iter_trace_chunks
 from repro.memsys.hierarchy import Hierarchy, ServiceLevel
 from repro.memsys.svb import StreamedValueBuffer
-from repro.prefetch.base import TARGET_L1, TARGET_SVB, AccessEvent, Prefetcher
+from repro.prefetch.base import (
+    TARGET_L1, TARGET_SVB, AccessEvent, Prefetcher, Request,
+)
 from repro.prefetch.sms.generations import ActiveGenerationTable
+from repro.prefetch.stride import StridePrefetcher
 from repro.sim.results import (
     SERVICE_L1,
     SERVICE_L2,
@@ -56,6 +66,8 @@ from repro.trace.events import MemoryAccess
 AGT_ENTRIES = 64
 
 _MEMORY = ServiceLevel.MEMORY
+#: the stride requests of every access of a walk without the engine
+_NO_REQUESTS = repeat(())
 
 
 class BaselineReplay:
@@ -150,6 +162,51 @@ def _finished(access: MemoryAccess, block: int) -> None:
     raise RuntimeError("BaselineReplay stepped after finish()")
 
 
+def _ignore(*hook_args) -> None:
+    """An eviction or discard hook of a walk whose only engine is the
+    stride engine, which ignores both."""
+
+
+class StrideStream:
+    """The Table-1 stride engine over one trace, for every walk carrying it.
+
+    One :class:`~repro.prefetch.stride.StridePrefetcher` sees each access
+    once. :meth:`step_chunk` leaves each access's requests of the chunk
+    in ``requests`` (usually an empty tuple), which every member walk
+    reads in step; :meth:`step` returns one access's requests. The
+    engine never reads the service level and ignores evictions and
+    discards, so one stream serves walks whose hierarchies differ.
+    """
+
+    def __init__(self, system: SystemConfig) -> None:
+        self.prefetcher = StridePrefetcher()
+        #: the last chunk's requests, one entry per access
+        self.requests: List[Sequence[Request]] = []
+        self._block_bits = system.address_map.block_bits
+        on_access = self.prefetcher.on_access
+        pop_requests = self.prefetcher.pop_requests
+        # the stream's one event; the engine reads its access and block
+        event = AccessEvent(None, -1, _MEMORY)
+
+        def step(access: MemoryAccess, block: int) -> Sequence[Request]:
+            event.access = access
+            event.block = block
+            on_access(event)
+            return pop_requests()
+
+        self.step = step
+
+    def step_chunk(self, chunk: AccessChunk) -> None:
+        """Record the requests of every access in ``chunk``."""
+        self.requests = list(
+            map(self.step, chunk.accesses, chunk.blocks_for(self._block_bits))
+        )
+
+    def finish(self) -> None:
+        """End of run (the stride engine keeps no open state)."""
+        self.prefetcher.finish()
+
+
 class ServiceConsumer(Protocol):
     """Anything that consumes the per-access service classification."""
 
@@ -183,12 +240,15 @@ class SimulationDriver:
 
     Args:
         system: cache/SVB geometry and timing parameters.
-        prefetcher: the predictor under test, or None for the baseline.
+        prefetcher: the main predictor under test, or None.
         service_consumer: incremental sink fed ``(access, service_class)``
             during the walk, e.g. a
             :class:`~repro.sim.timing.TimingModel` (the driver does not
             call its ``finalize()``; the caller owns the consumer's
             lifecycle).
+        stride: the walk carries the Table-1 stride engine (a
+            :class:`StrideStream`) beside ``prefetcher``, whose requests
+            it issues first. Without either, the walk is the baseline.
     """
 
     def __init__(
@@ -196,13 +256,18 @@ class SimulationDriver:
         system: SystemConfig,
         prefetcher: Optional[Prefetcher] = None,
         service_consumer: Optional[ServiceConsumer] = None,
+        stride: bool = False,
     ) -> None:
         self.system = system
         self.prefetcher = prefetcher
         self.service_consumer = service_consumer
+        self.stride = stride
 
     def start(
-        self, workload_name: str, replay: Optional[BaselineReplay] = None
+        self,
+        workload_name: str,
+        replay: Optional[BaselineReplay] = None,
+        stream: Optional[StrideStream] = None,
     ) -> DriverWalk:
         """Begin a push-mode walk: the caller supplies each access.
 
@@ -212,35 +277,56 @@ class SimulationDriver:
         once at :meth:`DriverWalk.finish`. ``run()`` drives the same
         closures, so pushed and pulled walks are bit-identical.
 
-        Without a prefetcher the walk is a member of ``replay`` (which
-        the caller then steps instead of the walk) or of a private
-        :class:`~repro.sim.driver.BaselineReplay` of one.
+        Without a prefetcher or the stride engine the walk is a member
+        of ``replay`` (which the caller then steps instead of the walk)
+        or of a private :class:`~repro.sim.driver.BaselineReplay` of
+        one. A walk that carries the stride engine reads ``stream``
+        (which the caller steps before the walk, chunk by chunk; the
+        walk's ``step`` then takes the access's stream requests as a
+        third argument) or a private :class:`StrideStream` of one,
+        which the walk steps itself.
 
         Args:
             workload_name: stamped on the :class:`CoverageResult`
                 (``run()`` passes ``trace.name``).
             replay: the shared no-prefetcher replay to join.
+            stream: the shared stride stream to read.
 
         Returns:
             A :class:`DriverWalk` whose ``step(access, block)`` consumes
             one access and whose ``finish()`` returns the result.
 
         Raises:
-            ValueError: a prefetcher's walk given a replay to share.
+            ValueError: a prefetcher's walk given a replay to share, or
+                a walk without the stride engine given a stream.
         """
         system = self.system
         prefetcher = self.prefetcher
-        if prefetcher is None:
-            replay = replay or BaselineReplay(system)
-            return self._baseline(workload_name, replay)
+        if stream is not None and not self.stride:
+            raise ValueError("a walk without the stride engine cannot read a stream")
+        if prefetcher is None and not self.stride:
+            return self._baseline(workload_name, replay or BaselineReplay(system))
+        name = "+".join((["stride"] if self.stride else [])
+                        + ([prefetcher.name] if prefetcher else []))
         if replay is not None:
-            raise ValueError(f"a {prefetcher.name} walk cannot join a replay")
+            raise ValueError(f"a {name} walk cannot join a replay")
+        own_stream = self.stride and stream is None
+        if own_stream:
+            stream = StrideStream(system)
         hierarchy = Hierarchy(system)
-        result = CoverageResult(workload_name, prefetcher.name)
+        result = CoverageResult(workload_name, name)
 
-        def _discard(block: int, stream: int) -> None:
+        if prefetcher is None:  # the stride engine ignores these hooks
+            on_access = pop_requests = None
+            on_l1_eviction = on_svb_discard = _ignore
+        else:
+            on_access, pop_requests = prefetcher.on_access, prefetcher.pop_requests
+            on_l1_eviction = prefetcher.on_l1_eviction
+            on_svb_discard = prefetcher.on_svb_discard
+
+        def _discard(block: int, stream_id: int) -> None:
             result.overpredictions += 1
-            prefetcher.on_svb_discard(block, stream)
+            on_svb_discard(block, stream_id)
 
         svb = StreamedValueBuffer(system.svb_entries, on_discard_unused=_discard)
 
@@ -256,20 +342,19 @@ class SimulationDriver:
         covered_count = uncovered_count = 0
         l1_hits = l2_hits = issued_prefetches = 0
 
-        svb_contains = svb.__contains__
+        # membership through the SVB dict's own ``__contains__``
+        svb_blocks = svb._blocks
         svb_consume = svb.consume
         svb_insert = svb.insert
         hier_fill_from_svb = hierarchy.fill_from_svb
         hier_present = hierarchy.present
         hier_install = hierarchy.install_prefetch
-        on_access = prefetcher.on_access
-        pop_requests = prefetcher.pop_requests
-        on_l1_eviction = prefetcher.on_l1_eviction
         # the walk's one event, overwritten for every access (an
         # event is valid only during the on_access call)
         event = AccessEvent(None, -1, level_l1)
 
-        def step(access: MemoryAccess, block: int) -> None:
+        def step(access: MemoryAccess, block: int,
+                 stride_requests: Sequence[Request] = ()) -> None:
             nonlocal accesses, reads, writes, covered_count
             nonlocal uncovered_count, l1_hits, l2_hits, issued_prefetches
 
@@ -280,9 +365,8 @@ class SimulationDriver:
             else:
                 writes += 1
 
-            if svb_contains(block):
-                consumed = svb_consume(block)
-                stream_id = consumed if consumed is not None else -1
+            if block in svb_blocks:
+                stream_id = svb_consume(block)
                 evicted = hier_fill_from_svb(block)
                 level = level_svb
                 covered = True
@@ -309,16 +393,24 @@ class SimulationDriver:
             if consumer_update is not None:
                 consumer_update(access, klass)
 
-            if evicted is not None:
-                on_l1_eviction(evicted)
-            event.access = access
-            event.block = block
-            event.level = level
-            event.covered = covered
-            event.stream_id = stream_id
-            on_access(event)
-            for pf_block, pf_stream, target in pop_requests():
-                if svb_contains(pf_block) or hier_present(pf_block) is not None:
+            if on_access is None:
+                requests = stride_requests
+            else:
+                if evicted is not None:
+                    on_l1_eviction(evicted)
+                event.access = access
+                event.block = block
+                event.level = level
+                event.covered = covered
+                event.stream_id = stream_id
+                on_access(event)
+                # the main predictor's requests are taken before any is
+                # issued; the stride engine's go first
+                requests = pop_requests()
+                if stride_requests:
+                    requests = [*stride_requests, *requests]
+            for pf_block, pf_stream, target in requests:
+                if pf_block in svb_blocks or hier_present(pf_block) is not None:
                     continue  # already on chip: no off-chip fetch needed
                 issued_prefetches += 1
                 if target == TARGET_SVB:
@@ -345,21 +437,39 @@ class SimulationDriver:
             # end of walk: whatever was fetched but never used is erroneous
             svb.drain_unused()
             result.overpredictions += hierarchy.l1.unused_prefetch_count()
-            prefetcher.finish()
-            result.prefetcher_stats = dict(prefetcher.stats)
+            stats = {}
+            if prefetcher is not None:
+                prefetcher.finish()
+                stats.update(prefetcher.stats)
+            if stream is not None:
+                if own_stream:
+                    stream.finish()
+                stats.update(stream.prefetcher.stats)
+            result.prefetcher_stats = stats
             return result
 
         block_bits = system.address_map.block_bits
 
+        walk_step = step
+        if own_stream:
+            stream_step = stream.step
+
+            def walk_step(access: MemoryAccess, block: int) -> None:
+                step(access, block, stream_step(access, block))
+
         def step_chunk(chunk: AccessChunk) -> None:
             # same step closure per access, driven by one C-level map;
-            # block ids come precomputed from the chunk's pre-pass
+            # block ids come precomputed from the chunk's pre-pass. A
+            # private stream is stepped here, a shared one by the caller.
+            if own_stream:
+                stream.step_chunk(chunk)
             deque(
-                map(step, chunk.accesses, chunk.blocks_for(block_bits)),
+                map(step, chunk.accesses, chunk.blocks_for(block_bits),
+                    _NO_REQUESTS if stream is None else stream.requests),
                 maxlen=0,
             )
 
-        return DriverWalk(step, step_chunk, finish)
+        return DriverWalk(walk_step, step_chunk, finish)
 
     def _baseline(self, workload: str, replay: BaselineReplay) -> DriverWalk:
         """The no-prefetcher walk, a member of ``replay``: the SVB stays

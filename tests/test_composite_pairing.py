@@ -81,7 +81,7 @@ def test_one_engine_requests_pass_through():
 
 
 def test_pairings():
-    composite = CompositePrefetcher(TMSPrefetcher())
+    composite = CompositePrefetcher(StridePrefetcher(), TMSPrefetcher())
     assert isinstance(composite.first, StridePrefetcher)
     assert isinstance(composite.second, TMSPrefetcher)
     hybrid = NaiveHybridPrefetcher()

@@ -12,7 +12,9 @@ without a charge is never gated again.
 from __future__ import annotations
 
 import os
+import signal
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -30,7 +32,10 @@ from repro.engine import (
     SimJob,
 )
 from repro.engine import engine as engine_module
+from repro.engine import exec as exec_module
 from repro.engine.faultinject import ENV_VAR
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import EXPERIMENTS
 
 KINDS = ("none", "tms", "sms", "stems", "stride", "ghb")
 LENGTH = 4000
@@ -145,3 +150,85 @@ class TestFailureParity:
             with pytest.raises(JobExecutionError) as excinfo:
                 engine.run(graph)
         assert excinfo.value.failure.label == "coverage:db2:none"
+
+
+def _one_job_keys() -> "list[SimJob]":
+    """Two trace keys with one ``coverage:stride`` job each."""
+    return [
+        SimJob.make("coverage", workload, LENGTH, SEED, SystemConfig.tiny(),
+                    PrefetcherSpec.make("stride"))
+        for workload in ("db2", "qry2")
+    ]
+
+
+def _walks(mode: str, jobs: "list[SimJob]", spec: str,
+           policy: RetryPolicy) -> "tuple[dict, int]":
+    """One mode's ``run_group`` attempts per workload (pool workers
+    included) and its isolation fallbacks, under injection ``spec``."""
+    graph = JobGraph()
+    for job in jobs:
+        graph.add(job)
+    real = exec_module.run_group
+    with tempfile.TemporaryDirectory() as scratch:
+        log = os.path.join(scratch, "walks")
+
+        def logged(group, accesses, attempt=1):
+            with open(log, "a") as handle:  # O_APPEND: one line per write
+                handle.write(f"{group[0].workload} {attempt}\n")
+            return real(group, accesses, attempt)
+
+        store = os.path.join(scratch, "store")
+        with mock.patch.dict(os.environ, {ENV_VAR: spec}), \
+                mock.patch.object(exec_module, "run_group", logged):
+            engine = _engine(mode, store, policy)
+            engine.run(graph)
+        with open(log) as handle:
+            lines = handle.read().split()
+    walks: "dict[str, list[int]]" = {}
+    for workload, attempt in zip(lines[::2], lines[1::2]):
+        walks.setdefault(workload, []).append(int(attempt))
+    return ({w: sorted(a) for w, a in walks.items()},
+            engine.stats.isolation_fallbacks)
+
+
+class TestOneJobKeys:
+    def test_serial_and_pool_walk_the_same_attempts(self):
+        """A key with one job runs straight on the solo ladder: its
+        failed first walk is charged, never isolated and rerun."""
+        policy = RetryPolicy(attempts=2, backoff=0.0)
+        spec = "job_fail:1@max_attempt=1"
+        runs = {mode: _walks(mode, _one_job_keys(), spec, policy)
+                for mode in ("serial", "pool")}
+        assert runs["serial"] == runs["pool"]
+        assert runs["serial"] == ({"db2": [1, 2], "qry2": [1, 2]}, 0)
+
+
+def test_reader_outliving_its_bundles_is_counted():
+    """Every bundle of a cold key's wave fails at once, before its slow
+    reader ends; the reader still records the key, and its generation
+    pass is counted."""
+    from repro.tracestore import broadcast
+
+    real = broadcast.run_reader
+
+    def slow_reader(*args):
+        # a CLI reader inherits the runner's graceful SIGTERM handler,
+        # so a terminate() does not stop its pass either
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(1.0)  # outlive the bundles, which fail at their start
+        real(*args)
+
+    config = ExperimentConfig.small()
+    config.trace_length = LENGTH
+    config.workloads = ["db2"]
+    graph = JobGraph()
+    EXPERIMENTS["fig9"].declare(config, graph)
+    with tempfile.TemporaryDirectory() as store, \
+            mock.patch.dict(os.environ, {ENV_VAR: JOB_FAIL_A}), \
+            mock.patch.object(broadcast, "run_reader", slow_reader):
+        engine = Engine(jobs=2, trace_store=store, broadcast="on",
+                        retry=RetryPolicy(attempts=1, backoff=0.0))
+        engine.run(graph)
+    assert engine.stats.broadcast_waves == 1
+    assert engine.stats.isolation_fallbacks == 2  # both bundles failed
+    assert engine.stats.generation_passes == 1

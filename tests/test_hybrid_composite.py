@@ -7,6 +7,7 @@ from repro.prefetch.base import AccessEvent, TARGET_L1, TARGET_SVB
 from repro.prefetch.composite import CompositePrefetcher
 from repro.prefetch.hybrid import NaiveHybridPrefetcher
 from repro.prefetch.stems.stems import STeMSPrefetcher
+from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tms.tms import TMSPrefetcher
 from repro.sim.driver import SimulationDriver
 from repro.trace.container import Trace
@@ -58,7 +59,7 @@ class TestNaiveHybrid:
 
 class TestComposite:
     def test_name_and_target(self):
-        pf = CompositePrefetcher(TMSPrefetcher())
+        pf = CompositePrefetcher(StridePrefetcher(), TMSPrefetcher())
         assert pf.name == "stride+tms"
         # distinct PCs keep the stride engine quiet: only TMS requests
         blocks = [AMAP.block_in_region(r, 0) for r in (1, 2, 3)]
@@ -71,7 +72,7 @@ class TestComposite:
         assert all(target == TARGET_SVB for _, _, target in requests)
 
     def test_stride_requests_target_l1(self):
-        pf = CompositePrefetcher(STeMSPrefetcher())
+        pf = CompositePrefetcher(StridePrefetcher(), STeMSPrefetcher())
         for i, b in enumerate([100, 101, 102]):
             pf.on_access(event(i, b, pc=0x99))
         requests = pf.pop_requests()
@@ -84,12 +85,12 @@ class TestComposite:
             trace.append(pc=0x7, address=i * 64)
         baseline = SimulationDriver(SystemConfig.tiny(), None).run(trace)
         result = SimulationDriver(
-            SystemConfig.tiny(), CompositePrefetcher(TMSPrefetcher())
+            SystemConfig.tiny(), TMSPrefetcher(), stride=True
         ).run(trace)
         assert result.covered > 0  # the stride engine covers the scan
         assert baseline.uncovered > result.uncovered
 
     def test_finish_propagates(self):
-        pf = CompositePrefetcher(STeMSPrefetcher())
+        pf = CompositePrefetcher(StridePrefetcher(), STeMSPrefetcher())
         pf.on_access(event(0, AMAP.block_in_region(1, 0)))
         pf.finish()  # must not raise

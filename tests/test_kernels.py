@@ -8,6 +8,7 @@ from repro.engine import Engine, JobGraph
 from repro.engine.exec import (
     analysis_for_job,
     build_prefetcher,
+    carries_stride,
     timing_model_for_job,
 )
 from repro.engine.faultinject import ENV_VAR as FAULT_ENV
@@ -196,7 +197,7 @@ def _walk_per_record(job, accesses):
         model = timing_model_for_job(job) if job.kind == KIND_TIMING else None
         walk = SimulationDriver(
             job.system, build_prefetcher(job.prefetcher, job.workload),
-            service_consumer=model,
+            service_consumer=model, stride=carries_stride(job),
         ).start(job.workload)
         block_bits = job.system.address_map.block_bits
         for access in accesses:
