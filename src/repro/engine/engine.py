@@ -281,7 +281,6 @@ class Engine:
     Args:
         jobs: worker processes for simulation jobs (1 = serial/inline).
         cache_dir: on-disk result cache directory, or None to disable.
-        use_cache: set False to neither read nor write ``cache_dir``.
         trace_store: directory (or :class:`TraceStore`) for the shared
             trace plane — traces are recorded once and replayed by every
             job and worker that shares the trace key. None keeps traces
@@ -325,7 +324,6 @@ class Engine:
         self,
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
         trace_store: Optional[Union[str, Path, TraceStore]] = None,
         broadcast: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
@@ -335,7 +333,7 @@ class Engine:
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.cache: Optional[ResultCache] = (
-            ResultCache(cache_dir) if (cache_dir and use_cache) else None
+            ResultCache(cache_dir) if cache_dir else None
         )
         if trace_store is not None and not isinstance(trace_store, TraceStore):
             trace_store = TraceStore(trace_store)
@@ -376,9 +374,7 @@ class Engine:
         # forked worker inherits these counts, hence delta-folding
         # everywhere); snapshot so this run folds only its own serial
         # phase time
-        phase_before = (
-            process_registry().snapshot() if telemetry.enabled else None
-        )
+        phase_before = process_registry().snapshot()
         results = ResultMap()
         self._gated.clear()
         pending = []
@@ -420,10 +416,9 @@ class Engine:
                             job, shard=shard, worker=worker, wall_s=wall_s
                         )
         finally:
-            if phase_before is not None:
-                telemetry.registry.merge(
-                    process_registry().delta_since(phase_before)
-                )
+            telemetry.registry.merge(
+                process_registry().delta_since(phase_before)
+            )
             if self.cache is not None:
                 after = self.cache.stats.as_dict()
                 self.stats.cache_corrupt += (
@@ -814,9 +809,12 @@ class _PoolSupervisor:
       and respawned; the stalled job is charged a timeout attempt, the
       other in-flight jobs are requeued for free.
 
-    After :attr:`Engine.MAX_POOL_RESPAWNS` pool deaths the batch
-    degrades to the serial path (the last rung of the ladder) instead
-    of thrashing pool startup forever.
+    At most ``workers`` jobs are in flight, so each one's deadline
+    starts when a worker is free to run it, never while it waits in
+    the executor's queue. After :attr:`Engine.MAX_POOL_RESPAWNS` pool
+    deaths the batch degrades to the serial path (the last rung of the
+    ladder) instead of thrashing pool startup forever; timeout kills
+    are deliberate and spend none of that budget.
     """
 
     def __init__(
@@ -852,8 +850,11 @@ class _PoolSupervisor:
         self.pool.shutdown(wait=False, cancel_futures=True)
         self.pool = None
 
-    def _respawn(self) -> None:
-        self.respawns += 1
+    def _respawn(self, died: bool = True) -> None:
+        """Replace the pool; only a pool that ``died`` spends the budget
+        (a timeout kill is deliberate)."""
+        if died:
+            self.respawns += 1
         self.stats.pool_respawns += 1
         self._kill_pool()
         if self.respawns <= Engine.MAX_POOL_RESPAWNS:
@@ -915,7 +916,8 @@ class _PoolSupervisor:
                 self.pool.shutdown(wait=False, cancel_futures=True)
 
     def _submit_ready(self, queue, in_flight) -> bool:
-        """Submit every queue entry whose backoff has elapsed.
+        """Submit queue entries whose backoff has elapsed, while a
+        worker is free for each.
 
         Returns True when the pool turned out to be broken mid-submit
         (the entry is requeued and the caller runs breakage recovery).
@@ -923,6 +925,8 @@ class _PoolSupervisor:
         now = time.monotonic()
         journal = self.engine.journal
         for _ in range(len(queue)):
+            if len(in_flight) >= self.workers:
+                break
             job, log, ready_at = queue.popleft()
             if ready_at > now:
                 queue.append((job, log, ready_at))
@@ -1034,7 +1038,7 @@ class _PoolSupervisor:
                 yield from self._retry(job, log, error, queue)
             else:
                 victims.append((job, log))
-        self._respawn()
+        self._respawn(died=False)
         for job, log in victims:
             self.stats.requeued += 1
             queue.append((job, log, 0.0))

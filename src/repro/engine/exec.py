@@ -58,8 +58,7 @@ from repro.prefetch.tms.tms import TMSPrefetcher
 from repro.sim.driver import BaselineReplay, SimulationDriver, StrideStream
 from repro.sim.timing import TimingModel
 from repro.telemetry import (
-    PHASE_FINALIZE, PHASE_WALK, phases_active, process_registry,
-    telemetry_enabled,
+    PHASE_FINALIZE, PHASE_WALK, add_phase, process_registry,
 )
 from repro.trace.container import TraceLike
 from repro.trace.events import MemoryAccess
@@ -360,15 +359,13 @@ def run_group(
     clock = time.perf_counter
     # ``walk_step`` times all walkers per chunk (decode is timed inside
     # decode_chunk; a chunk's lazy pre-pass nests under walk_step too)
-    timer = phases_active()
     for chunk in iter_trace_chunks(accesses):
         chunk_start = clock()
         for index, (update_block, _, _) in enumerate(walkers):
             start = clock()
             update_block(chunk)
             spent[index] += clock() - start
-        if timer is not None:
-            timer.add(PHASE_WALK, clock() - chunk_start)
+        add_phase(PHASE_WALK, clock() - chunk_start)
     finalize_start = clock()
     seconds = [0.0] * len(jobs)
     for index, (_, positions, stage) in enumerate(walkers):
@@ -383,8 +380,7 @@ def run_group(
         start = clock()
         pairs.append((job, consumer.finalize()))
         seconds[position] += clock() - start
-    if timer is not None:
-        timer.add(PHASE_FINALIZE, clock() - finalize_start, calls=len(pairs))
+    add_phase(PHASE_FINALIZE, clock() - finalize_start, calls=len(pairs))
     return GroupRun(pairs, seconds)
 
 
@@ -493,19 +489,13 @@ def execute_job_for_pool(
         from repro.tracestore import TraceStore
 
         store = TraceStore(trace_store_dir)
-    phase_before = _phase_snapshot()
+    phase_before = process_registry().snapshot()
     run = run_recovering([job], store, attempt)
     delta = store.stats.as_dict() if store is not None else {"generated": 1}
     results, report = walk_report(
         run, f"worker-{os.getpid()}", delta, phase_before
     )
     return job.job_hash, results[0], report
-
-
-def _phase_snapshot() -> Optional[dict]:
-    """The process registry's snapshot a worker's phase delta is taken
-    against, or None when telemetry is off."""
-    return process_registry().snapshot() if telemetry_enabled() else None
 
 
 def execute_jobs_broadcast(
@@ -538,7 +528,7 @@ def execute_jobs_broadcast(
     bundle = list(jobs)
     fallback = replay_fallback(str(trace_store_dir), bundle[0].trace_key)
     cursor = ChunkCursor(ring_consumer, fallback)
-    phase_before = _phase_snapshot()
+    phase_before = process_registry().snapshot()
     try:
         run = run_group(bundle, cursor)
     except Exception:  # reported as a failed walk: the parent isolates it

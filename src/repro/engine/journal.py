@@ -520,6 +520,11 @@ class GracefulShutdown:
     the journal and exit with the resumable code 3. A second SIGINT
     skips the drain entirely: the previous handler is restored and
     ``KeyboardInterrupt`` raised on the spot (hard abort).
+
+    A process forked while the policy is installed (a pool worker, a
+    broadcast reader or consumer) inherits the handler but not the
+    drain: SIGTERM there restores the default action and re-raises,
+    so the engine's ``terminate()`` stops it.
     """
 
     def __init__(self) -> None:
@@ -527,6 +532,7 @@ class GracefulShutdown:
         self._previous: Dict[int, Any] = {}
 
     def install(self) -> "GracefulShutdown":
+        self._pid = os.getpid()
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 self._previous[signum] = signal.signal(signum, self._handle)
@@ -543,6 +549,10 @@ class GracefulShutdown:
         self._previous.clear()
 
     def _handle(self, signum: int, frame: Any) -> None:
+        if signum == signal.SIGTERM and os.getpid() != self._pid:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return
         if self.event.is_set() and signum == signal.SIGINT:
             previous = self._previous.get(signal.SIGINT)
             signal.signal(

@@ -73,7 +73,6 @@ from repro.engine import (
     runs_root,
 )
 from repro.engine.journal import JournalError, config_hash
-from repro.telemetry import resolve_telemetry
 from repro.tracestore import default_trace_store_dir
 from repro.experiments import (
     baselines,
@@ -146,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_group.add_argument(
         "--no-cache", action="store_true",
-        help="neither read nor write the result cache",
+        help="neither read nor write the result cache, and write no run "
+        "journal (a run journals whenever it has a result cache)",
     )
     engine_group.add_argument(
         "--trace-store", default=None, metavar="DIR",
@@ -189,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-id", default=None, metavar="ID",
         help="explicit run id for the journal directory "
         "(default: generated timestamp-pid id)",
-    )
-    durable_group.add_argument(
-        "--no-journal", action="store_true",
-        help="do not write the run journal (journaling is on whenever "
-        "the result cache is; --no-cache also disables it)",
     )
     durable_group.add_argument(
         "--list-runs", action="store_true",
@@ -348,7 +343,6 @@ def _resolve_resume(args: argparse.Namespace) -> argparse.Namespace:
     if args.export_dir != build_parser().get_default("export_dir"):
         resumed.export_dir = args.export_dir
     resumed.run_id = args.run_id
-    resumed.no_journal = args.no_journal
     incomplete = record.incomplete()
     print(
         f"[resume {record.run_id}: {len(record.completed)} of "
@@ -368,30 +362,20 @@ def _write_telemetry(engine: Engine, journal) -> None:
     for runs that did not finish. A write failure is reported but never
     changes the run's outcome.
     """
-    if journal is None or not engine.telemetry.enabled:
+    if journal is None:
         return
     try:
-        written = engine.telemetry.write(journal.directory, journal.run_id)
+        path = engine.telemetry.write(journal.directory, journal.run_id)
     except OSError as error:
         print(f"[telemetry: write failed: {error}]", file=sys.stderr)
         return
-    if written:
-        names = ", ".join(path.name for path in written)
-        print(f"[telemetry: {names} written to {journal.directory}]",
-              file=sys.stderr)
+    print(f"[telemetry: {path.name} written to {journal.directory}]",
+          file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     original_argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
-    try:
-        # validate the telemetry mode up front: the hot-path check
-        # (phases_active) deliberately never raises, so a typo'd
-        # REPRO_TELEMETRY must be caught before any work happens
-        resolve_telemetry()
-    except ValueError as error:
-        print(f"[telemetry: {error}]", file=sys.stderr)
-        return 2
     if args.list_available:
         print(list_available())
         return 0
@@ -419,7 +403,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     plans = {name: EXPERIMENTS[name].declare(config, graph) for name in names}
 
     journal = None
-    if not args.no_cache and not args.no_journal:
+    if not args.no_cache:
         header = {
             "argv": original_argv,
             "experiments": names,
@@ -459,9 +443,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
             return 3
+        # the engine printed each permanent failure as it happened
         failures = results.failures()
-        for failure in failures:
-            print(f"[engine: {failure.summary()}]", file=sys.stderr)
         # per-experiment stderr notes are buffered and flushed after
         # the tables: an --export run piping stdout must not get
         # stats lines interleaved mid-table (the notes land on
@@ -496,8 +479,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.flush()
         for note in notes:
             print(note, file=sys.stderr)
-        # the legacy one-liner stays byte-compatible in every
-        # telemetry mode (CI greps it); telemetry only adds lines
+        # the legacy one-liner stays byte-compatible (CI greps it);
+        # telemetry only adds lines
         print(f"[{engine.stats.format()}, {time.time() - started:.1f}s]",
               file=sys.stderr)
         _write_telemetry(engine, journal)

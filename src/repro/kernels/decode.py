@@ -22,7 +22,7 @@ from typing import List
 import numpy
 
 from repro.kernels.prepass import AccessChunk
-from repro.telemetry import PHASE_DECODE, phases_active
+from repro.telemetry import PHASE_DECODE, add_phase
 from repro.trace.events import MemoryAccess
 
 #: one access: pc u64, address u64, depends_on i64 (-1 = None),
@@ -50,19 +50,9 @@ def decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     C-driven ``map``.
 
     The ``chunk_decode`` phase timer wraps this function (one timer
-    call per chunk, nothing per record; ``REPRO_TELEMETRY=off``
-    reduces it to a single ``None`` check).
+    call per chunk, nothing per record).
     """
-    timer = phases_active()
-    if timer is None:
-        return _decode_chunk(first_index, chunk)
     start = perf_counter()
-    result = _decode_chunk(first_index, chunk)
-    timer.add(PHASE_DECODE, perf_counter() - start)
-    return result
-
-
-def _decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
     n = len(chunk) // RECORD_SIZE
     columns = numpy.frombuffer(chunk, dtype=RECORD_DTYPE)
     addresses = columns["address"]
@@ -82,4 +72,5 @@ def _decode_chunk(first_index: int, chunk: bytes) -> AccessChunk:
         depends_list,
         columns["instr_gap"].tolist(),
     ))
+    add_phase(PHASE_DECODE, perf_counter() - start)
     return AccessChunk(accesses, start_index=first_index, addresses=addresses)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, List, Optional
 import numpy
 
 from repro.kernels import CHUNK_RECORDS
-from repro.telemetry import PHASE_PREPASS, phases_active
+from repro.telemetry import PHASE_PREPASS, add_phase
 from repro.trace.events import MemoryAccess
 
 
@@ -62,32 +62,24 @@ class AccessChunk:
     def __iter__(self) -> Iterator[MemoryAccess]:
         return iter(self.accesses)
 
-    def _shifted(self, bits: int) -> List[int]:
-        """``address >> bits`` for the whole chunk, as Python ints.
+    def blocks_for(self, block_bits: int) -> List[int]:
+        """Block ids under a geometry with ``block_bits`` offset bits.
 
         The unit the ``prepass`` phase timer accounts (one timer call
-        per column per chunk; the pre-pass runs *inside* a chunk's walk
-        step, so its time also appears under ``walk_step``).
+        per geometry per chunk; the pre-pass runs *inside* a chunk's
+        walk step, so its time also appears under ``walk_step``).
         """
-        timer = phases_active()
-        if timer is None:
-            return self._shifted_column(bits)
-        start = perf_counter()
-        column = self._shifted_column(bits)
-        timer.add(PHASE_PREPASS, perf_counter() - start)
-        return column
-
-    def _shifted_column(self, bits: int) -> List[int]:
-        addresses = self._addresses
-        if addresses is not None:
-            return (addresses >> numpy.uint64(bits)).tolist()
-        return [access.address >> bits for access in self.accesses]
-
-    def blocks_for(self, block_bits: int) -> List[int]:
-        """Block ids under a geometry with ``block_bits`` offset bits."""
         if self._blocks_bits != block_bits:
-            self._blocks = self._shifted(block_bits)
+            start = perf_counter()
+            addresses = self._addresses
+            if addresses is not None:
+                blocks = (addresses >> numpy.uint64(block_bits)).tolist()
+            else:
+                blocks = [access.address >> block_bits
+                          for access in self.accesses]
+            self._blocks = blocks
             self._blocks_bits = block_bits
+            add_phase(PHASE_PREPASS, perf_counter() - start)
         return self._blocks
 
 

@@ -9,6 +9,7 @@ not paired here; a walk carrying it reads a shared
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from repro.prefetch.base import AccessEvent, Prefetcher, Request
@@ -19,7 +20,8 @@ class CompositePrefetcher(Prefetcher):
 
     Every hook reaches ``first`` then ``second``, and their requests come
     back in that order; an engine that ignores a hook inherits the base
-    no-op.
+    no-op. The engines keep their own requests and counters, so the
+    composite has no base state of its own.
     """
 
     def __init__(self, first: Prefetcher, second: Prefetcher) -> None:
@@ -27,13 +29,17 @@ class CompositePrefetcher(Prefetcher):
 
     def _pair(self, first: Prefetcher, second: Prefetcher) -> None:
         # also the entry of subclasses that build their engines first
-        super().__init__()
         self.first = first
         self.second = second
 
     @property
     def name(self) -> str:
         return f"{self.first.name}+{self.second.name}"
+
+    @property
+    def stats(self) -> Counter:
+        """Both engines' counters, summed by name."""
+        return self.first.stats + self.second.stats
 
     def on_access(self, event: AccessEvent) -> None:
         self.first.on_access(event)

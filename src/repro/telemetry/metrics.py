@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: bumped when the serialized form changes (2: counters only)
-METRICS_VERSION = 2
+#: bumped when the serialized form changes (3: ``metrics.json`` has no mode)
+METRICS_VERSION = 3
 
 
 class MetricsRegistry:

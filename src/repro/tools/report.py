@@ -197,8 +197,8 @@ def render(report: Dict[str, Any]) -> str:
         lines.append(f"argv         {' '.join(report['argv'])}")
     if not report["telemetry"]:
         lines.append(
-            "telemetry    no metrics.json (run crashed before writing it, "
-            "or REPRO_TELEMETRY=off) — no phase breakdown"
+            "telemetry    no metrics.json (run crashed before writing "
+            "it) — no phase breakdown"
         )
     if report.get("journal_damage"):
         damage = report["journal_damage"]

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, List, Optional
 from repro.kernels import CHUNK_RECORDS
 from repro.kernels.decode import RECORD_SIZE, decode_chunk
 from repro.kernels.prepass import AccessChunk, chunk_accesses
-from repro.telemetry import process_registry, telemetry_enabled
+from repro.telemetry import process_registry
 from repro.tracestore.codec import (
     FOOTER_SIZE,
     read_access_chunks,
@@ -383,19 +383,15 @@ class ChunkCursor:
         self.complete = False
 
     def iter_chunks(self) -> Iterator[AccessChunk]:
-        # with telemetry on, account time spent blocked on the ring
-        # (producer-bound waits) separately from decode/walk time — the
-        # counter rides home in the consumer's telemetry envelope
-        registry = process_registry() if telemetry_enabled() else None
+        # time blocked on the ring (producer-bound waits), apart from
+        # decode/walk time, rides home in the consumer's envelope
+        registry = process_registry()
         while True:
-            if registry is None:
-                kind, first_record, payload, crc = self._ring.next_item()
-            else:
-                waited = perf_counter()
-                kind, first_record, payload, crc = self._ring.next_item()
-                registry.inc(
-                    "broadcast.ring_wait_seconds", perf_counter() - waited
-                )
+            waited = perf_counter()
+            kind, first_record, payload, crc = self._ring.next_item()
+            registry.inc(
+                "broadcast.ring_wait_seconds", perf_counter() - waited
+            )
             if kind == KIND_DONE:
                 if first_record != self.next_record:
                     break  # short stream (torn writer): top up from file

@@ -446,6 +446,24 @@ class TestInterruptionSemantics:
         assert record.status() == "crashed"
         assert record.resumable()
 
+    def test_sigterm_stops_forked_workers(self, tmp_path):
+        # pool workers fork while the runner's shutdown policy is
+        # installed; the engine's terminate() of a timed-out worker must
+        # still stop it, without the runner's drain banner: every job
+        # stalls 25 s on its first attempt, and the run ends long before
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "fig9", "--small",
+             "--workloads", "db2", "--length", "2000", "--jobs", "2",
+             "--no-cache", "--job-timeout", "2"],
+            env=_runner_env(**{ENV_VAR: "stall:1@secs=25@max_attempt=1"}),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "4 timeouts" in proc.stderr
+        assert "SIGTERM" not in proc.stderr
+        assert time.monotonic() - started < 20
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_kill_then_resume_is_bit_identical(self, tmp_path, jobs):
         clean = subprocess.run(

@@ -135,14 +135,6 @@ class TestEngineCache:
         engine.run(graph)
         assert engine.stats.executed == 1
 
-    def test_use_cache_false_disables(self, system, tmp_path):
-        graph = JobGraph()
-        graph.add(coverage_job(system, "stride"))
-        Engine(cache_dir=tmp_path).run(graph)
-        engine = Engine(cache_dir=tmp_path, use_cache=False)
-        engine.run(graph)
-        assert engine.stats.executed == 1
-
 
 class TestCacheSharding:
     def test_entries_live_in_two_hex_shards(self, system, tmp_path):

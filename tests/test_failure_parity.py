@@ -12,7 +12,6 @@ without a charge is never gated again.
 from __future__ import annotations
 
 import os
-import signal
 import tempfile
 import time
 from unittest import mock
@@ -212,9 +211,6 @@ def test_reader_outliving_its_bundles_is_counted():
     real = broadcast.run_reader
 
     def slow_reader(*args):
-        # a CLI reader inherits the runner's graceful SIGTERM handler,
-        # so a terminate() does not stop its pass either
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         time.sleep(1.0)  # outlive the bundles, which fail at their start
         real(*args)
 

@@ -448,6 +448,24 @@ class TestTimeouts:
         assert engine.stats.pool_respawns > 0
 
 
+    def test_queued_jobs_are_not_charged_for_stalled_workers(
+        self, monkeypatch
+    ):
+        # the first two jobs in dispatch order stall and hold both
+        # workers; the four queued behind them must not time out unrun
+        spec = "stall:0.5@seed=19@secs=20@max_attempt=1"
+        monkeypatch.setenv(ENV_VAR, spec)
+        graph, jobs = build_graph()
+        plan = FaultPlan.parse(spec)
+        armed = {job.job_hash for job in jobs
+                 if plan.armed("stall", job.job_hash, 1)}
+        assert 0 < len(armed) < len(jobs)
+        engine = Engine(jobs=2, retry=RetryPolicy(attempts=1, timeout=1.5))
+        results = engine.run(graph)
+        assert {failure.job_hash for failure in results.failures()} == armed
+        assert engine.stats.timeouts == len(armed)
+
+
 class TestRunnerExitCodes:
     """The CLI contract: 0 clean, 1 degraded-but-complete, 2 strict abort."""
 
@@ -471,6 +489,14 @@ class TestRunnerExitCodes:
         err = capsys.readouterr().err
         assert "failed after 2 attempt(s)" in err
         assert "faults:" in err
+
+    def test_each_failure_printed_once(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.runner import main
+
+        monkeypatch.setenv(ENV_VAR, "job_fail:1")
+        assert main(self._argv(tmp_path, "--retries", "1")) == 1
+        err = capsys.readouterr().err
+        assert err.count("failed after 1 attempt(s)") == 1
 
     def test_recovered_degradation_also_exits_one(
         self, tmp_path, monkeypatch, capsys

@@ -21,6 +21,17 @@ def event(i, block, pc=0x1):
     return AccessEvent(access=access, block=block, level=ServiceLevel.MEMORY)
 
 
+def recurring_regions():
+    """Two passes over 100 regions touching offsets 0, 3 and 7."""
+    trace = Trace("h")
+    for repeat in range(2):
+        for region in range(100):
+            for off in (0, 3, 7):
+                trace.append(pc=0x10 + off, address=AMAP.block_in_region(
+                    1000 + region, off) * 64)
+    return trace
+
+
 class TestNaiveHybrid:
     def test_requests_carry_per_engine_targets(self):
         pf = NaiveHybridPrefetcher()
@@ -43,14 +54,18 @@ class TestNaiveHybrid:
         assert pf.sms.agt.generations_started == 1
 
     def test_runs_in_driver(self):
-        trace = Trace("h")
-        for repeat in range(2):
-            for region in range(100):
-                for off in (0, 3, 7):
-                    trace.append(pc=0x10 + off, address=AMAP.block_in_region(
-                        1000 + region, off) * 64)
+        trace = recurring_regions()
         result = SimulationDriver(SystemConfig.tiny(), NaiveHybridPrefetcher()).run(trace)
         assert result.covered > 0
+
+    def test_reports_both_engines_stats(self):
+        pf = NaiveHybridPrefetcher()
+        result = SimulationDriver(SystemConfig.tiny(), pf).run(
+            recurring_regions()
+        )
+        assert result.prefetcher_stats == dict(pf.tms.stats + pf.sms.stats)
+        assert result.prefetcher_stats["streams_allocated"] > 0  # TMS
+        assert result.prefetcher_stats["trigger_predictions"] > 0  # SMS
 
     def test_svb_discard_forwarded_to_tms(self):
         pf = NaiveHybridPrefetcher()

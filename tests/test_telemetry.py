@@ -1,6 +1,6 @@
-"""Telemetry plane: registry semantics, mode switching, the runner's
-``metrics.json`` artifact, the journal's per-job worker and wall time,
-``repro-report``, and fsck's handling of telemetry files.
+"""Telemetry plane: registry semantics, the phase timers' cost, the
+runner's ``metrics.json`` artifact, the journal's per-job worker and
+wall time, ``repro-report``, and fsck's handling of telemetry files.
 
 Cross-process folding parity (serial vs pool vs broadcast counters) has
 its own tests here plus path-specific ones in ``test_engine.py`` and
@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,21 +35,20 @@ from repro.engine.faultinject import ENV_VAR as FAULT_ENV
 from repro.engine.faultinject import KILL_EXIT_CODE
 from repro.experiments.runner import main as runner_main
 from repro.engine.journal import JOURNAL_NAME, read_journal
+from repro.kernels import CHUNK_RECORDS
 from repro.telemetry import (
-    ENV_VAR,
     METRICS_NAME,
     METRICS_VERSION,
-    MODE_BASIC,
-    MODE_OFF,
+    PHASE_DECODE,
+    PHASE_FINALIZE,
+    PHASE_PREPASS,
+    PHASE_WALK,
     MetricsRegistry,
     RunTelemetry,
-    phases_active,
-    process_registry,
-    resolve_telemetry,
-    telemetry_enabled,
 )
 from repro.tools.fsck import main as fsck_main
 from repro.tools.report import main as report_main
+from repro.tracestore import TraceStore
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = ("apache", "em3d")
@@ -58,7 +58,6 @@ SEED = 1
 
 @pytest.fixture(autouse=True)
 def _no_ambient_overrides(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.delenv(FAULT_ENV, raising=False)
 
 
@@ -127,33 +126,55 @@ class TestMetricsRegistry:
         assert thawed.counter("c") == 4
 
 
-# -- mode switch -------------------------------------------------------------
+# -- the phase timers' cost -------------------------------------------------
 
 
-class TestModeResolution:
-    def test_default_is_basic(self):
-        assert resolve_telemetry() == MODE_BASIC
+class TestPhaseTimerCost:
+    """The timers are always on, so their cost is bounded by count: a
+    replayed group walk makes one ``chunk_decode`` and one ``walk_step``
+    timer call per chunk, one ``prepass`` per chunk and block geometry,
+    and one ``finalize`` per group — never one per access."""
 
-    def test_environment_selects(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "OFF")
-        assert resolve_telemetry() == MODE_OFF
+    def _timer_calls(self, monkeypatch, store, length):
+        from repro.engine import exec as exec_module
+        from repro.kernels import decode, prepass
 
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "off")
-        assert resolve_telemetry("basic") == MODE_BASIC
+        system = SystemConfig.tiny()
+        jobs = [
+            SimJob.make("coverage", "db2", length, SEED, system, spec)
+            for spec in (None, PrefetcherSpec.make("stride"),
+                         PrefetcherSpec.make("sms"),
+                         PrefetcherSpec.make("stems"))
+        ]
+        jobs.append(SimJob.make("timing", "db2", length, SEED, system,
+                                PrefetcherSpec.make("tms", with_stride=True)))
+        jobs.append(SimJob.make("joint", "db2", length, SEED, system))
+        key = jobs[0].trace_key
+        store.record(key)
+        records = sum(len(chunk) for chunk in store.source(key).iter_chunks())
+        made: Counter = Counter()
 
-    # ``trace`` (the removed Chrome-trace mode) is unknown like any other
-    @pytest.mark.parametrize("bad", ["loud", "ON AIR", "1", "trace"])
-    def test_unknown_mode_rejected(self, bad):
-        with pytest.raises(ValueError):
-            resolve_telemetry(bad)
+        def add_phase(phase, seconds, calls=1):
+            made[phase] += 1
 
-    def test_phase_timer_is_none_when_off(self, monkeypatch):
-        assert phases_active() is not None
-        assert telemetry_enabled()
-        monkeypatch.setenv(ENV_VAR, MODE_OFF)
-        assert phases_active() is None
-        assert not telemetry_enabled()
+        with monkeypatch.context() as patch:
+            for module in (exec_module, decode, prepass):
+                patch.setattr(module, "add_phase", add_phase)
+            exec_module.run_group(jobs, store.source(key))
+        return records, made
+
+    def test_timer_calls_are_per_chunk_not_per_access(self, monkeypatch,
+                                                       tmp_path):
+        store = TraceStore(tmp_path / "store")
+        runs = [self._timer_calls(monkeypatch, store, length)
+                for length in (9000, 12000)]
+        (short, short_calls), (long, long_calls) = runs
+        chunks = -(-short // CHUNK_RECORDS)
+        assert short < long and -(-long // CHUNK_RECORDS) == chunks
+        assert short_calls == long_calls == {
+            PHASE_DECODE: chunks, PHASE_WALK: chunks,
+            PHASE_PREPASS: chunks, PHASE_FINALIZE: 1,
+        }
 
 
 # -- EngineStats as a registry view ------------------------------------------
@@ -189,34 +210,18 @@ class TestEngineStatsView:
 
 
 class TestRunTelemetryWrite:
-    def _collect(self, mode) -> RunTelemetry:
-        telemetry = RunTelemetry(mode=mode)
+    def test_basic_writes_metrics_only(self, tmp_path):
+        telemetry = RunTelemetry()
         _, jobs = build_graph()
         for job in jobs[:2]:
             telemetry.job_finished(job, ok=True)
-        return telemetry
-
-    def test_off_writes_nothing(self, tmp_path):
-        assert self._collect(MODE_OFF).write(tmp_path) == []
-        assert list(tmp_path.iterdir()) == []
-
-    def test_basic_writes_metrics_only(self, tmp_path):
-        written = self._collect(MODE_BASIC).write(tmp_path, "run-1")
-        assert [p.name for p in written] == [METRICS_NAME]
+        assert telemetry.write(tmp_path, "run-1") == tmp_path / METRICS_NAME
         payload = json.loads((tmp_path / METRICS_NAME).read_text())
-        assert sorted(payload) == ["counters", "mode", "run", "version"]
+        assert sorted(payload) == ["counters", "run", "version"]
         assert payload["run"] == "run-1"
-        assert payload["mode"] == MODE_BASIC
+        assert payload["version"] == METRICS_VERSION == 3
         assert payload["counters"]["jobs.completed.coverage"] == 2
         assert payload["counters"]["walk.accesses.coverage"] == 2 * LENGTH
-
-    def test_counters_always_fold_even_when_off(self):
-        # EngineStats reads jobs.* through the same registry, so the
-        # path-invariant counters must not depend on the mode
-        telemetry = RunTelemetry(mode=MODE_OFF)
-        _, jobs = build_graph()
-        telemetry.job_finished(jobs[0], ok=True)
-        assert telemetry.registry.counter("jobs.completed.coverage") == 1
 
 
 # -- cross-process folding parity --------------------------------------------
@@ -273,17 +278,6 @@ class TestFoldingParity:
         assert counters["jobs.cached.coverage"] == 6
         assert "jobs.completed.coverage" not in counters
 
-    def test_phase_timers_off_leave_registry_untouched(self, monkeypatch,
-                                                       tmp_path):
-        monkeypatch.setenv(ENV_VAR, MODE_OFF)
-        before = process_registry().snapshot()
-        graph, _ = build_graph()
-        engine = Engine(trace_store=tmp_path / "store")
-        engine.run(graph)
-        delta = process_registry().delta_since(before)
-        assert not any(name.startswith("phase.")
-                       for name in delta["counters"])
-
 
 # -- the journal's per-job run record -----------------------------------------
 
@@ -295,18 +289,15 @@ def _completions(journal: RunJournal) -> "list[dict]":
 
 class TestJournalRunRecord:
     """Every executed job's ``job_completed`` event names the worker it
-    ran on and its wall seconds there — in every execution path and
-    every telemetry mode."""
+    ran on and its wall seconds there — in every execution path."""
 
-    @pytest.mark.parametrize("kwargs, worker, mode", [
-        (dict(jobs=1), r"main", MODE_BASIC),
-        (dict(jobs=2, broadcast="off"), r"worker-\d+", MODE_BASIC),
-        (dict(jobs=2, broadcast="on"), r"bundle-\d+", MODE_BASIC),
-        (dict(jobs=2, broadcast="off"), r"worker-\d+", MODE_OFF),
-    ], ids=["serial", "pool", "broadcast", "pool-telemetry-off"])
-    def test_executed_jobs_name_worker_and_wall(self, tmp_path, monkeypatch,
-                                                kwargs, worker, mode):
-        monkeypatch.setenv(ENV_VAR, mode)
+    @pytest.mark.parametrize("kwargs, worker", [
+        (dict(jobs=1), r"main"),
+        (dict(jobs=2, broadcast="off"), r"worker-\d+"),
+        (dict(jobs=2, broadcast="on"), r"bundle-\d+"),
+    ], ids=["serial", "pool", "broadcast"])
+    def test_executed_jobs_name_worker_and_wall(self, tmp_path, kwargs,
+                                                worker):
         graph, jobs = build_graph()
         journal = RunJournal.create(tmp_path / "runs", header={"argv": []})
         Engine(trace_store=tmp_path / "store", journal=journal,
@@ -386,33 +377,11 @@ class TestRunnerIntegration:
             JOURNAL_NAME, METRICS_NAME,
         ]
         payload = json.loads((run_dir / METRICS_NAME).read_text())
-        assert sorted(payload) == ["counters", "mode", "run", "version"]
+        assert sorted(payload) == ["counters", "run", "version"]
+        assert payload["counters"]["phase.walk_step.calls"] > 0
         err = capsys.readouterr().err
         assert "[engine:" in err
         assert METRICS_NAME in err
-
-    def test_off_mode_writes_nothing_keeps_oneliner(self, tmp_path,
-                                                    monkeypatch, capsys):
-        monkeypatch.setenv(ENV_VAR, MODE_OFF)
-        assert runner_main(_runner_argv(tmp_path)) == 0
-        run_dir = _run_dir(tmp_path)
-        assert not (run_dir / METRICS_NAME).exists()
-        err = capsys.readouterr().err
-        # the legacy stderr contract survives: one engine line, no
-        # telemetry notes
-        assert "[engine:" in err
-        assert "telemetry" not in err
-
-    def test_former_trace_mode_exits_2(self, tmp_path, monkeypatch,
-                                       capsys):
-        monkeypatch.setenv(ENV_VAR, "trace")
-        assert runner_main(_runner_argv(tmp_path)) == 2
-        assert "unknown telemetry mode 'trace'" in capsys.readouterr().err
-
-    def test_invalid_mode_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_VAR, "loud")
-        assert runner_main(_runner_argv(tmp_path)) == 2
-        assert "telemetry" in capsys.readouterr().err
 
     def test_export_stdout_is_pure_table(self, tmp_path, capsys):
         # satellite 1: stats/notes go to stderr, never interleaved with
@@ -506,7 +475,6 @@ class TestReportTool:
             "PYTHONPATH", ""
         )
         env.pop(FAULT_ENV, None)
-        env.pop(ENV_VAR, None)
         argv = [
             sys.executable, "-m", "repro.experiments", "fig9", "--small",
             "--workloads", "apache", "em3d", "--length", "2000",
